@@ -69,17 +69,11 @@ func main() {
 	}
 	logger, _ = obsv.NewLogger(os.Stderr, *logFormat) // format vetted above
 
-	sc, err := scaleByName(*scaleFlag)
+	sc, err := harness.ScaleByName(*scaleFlag, *duration)
 	if err != nil {
 		fatal(err)
 	}
 	sc.Seed = *seed
-	if *duration > 0 {
-		sc.DurationNs = int64(*duration * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
-	}
 
 	opt := harness.Options{Scale: sc, SlowdownPct: *slowdown, Workers: *workers}
 	if *serveAddr != "" || *pprofAddr != "" {
@@ -482,19 +476,6 @@ func runAblations(opt harness.Options, emit func(string, *report.Table)) {
 		fatal(err)
 	} else {
 		emit("ablation-counters", t)
-	}
-}
-
-func scaleByName(name string) (harness.Scale, error) {
-	switch name {
-	case "tiny":
-		return harness.Tiny(), nil
-	case "bench":
-		return harness.Bench(), nil
-	case "repro":
-		return harness.Repro(), nil
-	default:
-		return harness.Scale{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", name)
 	}
 }
 

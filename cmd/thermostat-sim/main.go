@@ -45,8 +45,8 @@ import (
 	"time"
 
 	"thermostat/internal/cgroup"
-	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/daemon"
 	"thermostat/internal/harness"
 	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
@@ -99,44 +99,23 @@ func main() {
 		return
 	}
 
-	if err := validate(options{
+	o := options{
 		App: *appFlag, Policy: *polFlag, Tracker: *trkFlag, Scale: *scaleName,
-		Slowdown: *slowdown, IdleSecs: *idleSecs, Duration: *duration,
-		Tiers: *tiersFlag, Tenants: *tenFlag,
-		ChaosRate: *chaosRate, ChaosPerm: *chaosPerm,
+		Slowdown: *slowdown, IdleSecs: *idleSecs, Duration: *duration, Seed: *seed,
+		Tiers: *tiersFlag, Tenants: *tenFlag, Workers: *workers,
+		ChaosRate: *chaosRate, ChaosSeed: *chaosSeed, ChaosPerm: *chaosPerm,
+		Trace: *traceOut, Metrics: *metrics, Epochs: *epochs,
 		Serve: *serveAddr, Pprof: *pprofAddr, LogFormat: *logFormat,
-		Footprint: *footprint, ShardWorkers: *shardWork,
-	}); err != nil {
+		Footprint: *footprint, Sparse: *sparse, ShardWorkers: *shardWork,
+	}
+	if err := validate(o); err != nil {
 		fatal(err)
 	}
+	cfg := o.config()
 	logger, _ = obsv.NewLogger(os.Stderr, *logFormat) // format vetted above
 	tracker := *trkFlag
 	if tracker == "" {
 		tracker = "poison"
-	}
-
-	spec, _ := workload.ByName(*appFlag)
-	if *footprint != "" {
-		target, _ := workload.ParseSize(*footprint) // vetted above
-		spec = spec.WithFootprint(target)
-	}
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "bench":
-		sc = harness.Bench()
-	default:
-		sc = harness.Repro()
-	}
-	sc.Seed = *seed
-	sc.Sparse = *sparse
-	sc.ShardWorkers = *shardWork
-	if *duration > 0 {
-		sc.DurationNs = int64(*duration * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
 	}
 
 	// The observability plane serves on every requested address (-serve and
@@ -166,112 +145,81 @@ func main() {
 		defer pub.SetPhase(obsv.PhaseDone)
 	}
 
-	if *tenFlag != "" {
-		runFleet(*tenFlag, sc, tracker, *polFlag, *slowdown, *workers, fleetIO{
-			trace: *traceOut, metrics: *metrics, epochs: *epochs,
-			chaosRate: *chaosRate, chaosSeed: *chaosSeed, chaosPerm: *chaosPerm,
-			pub: pub,
-		})
-		return
+	run := runSingle
+	if len(cfg.Tenants) > 0 {
+		run = runFleet
 	}
-
-	if *tiersFlag != "" {
-		runNTier(spec, sc, *tiersFlag, tracker, *polFlag, *slowdown)
-		return
+	if err := run(os.Stdout, cfg, pub); err != nil {
+		fatal(err)
 	}
+}
 
+// runSingle runs cfg's one application — on the paper's two tiers next to
+// its all-DRAM baseline, or alone on a -tiers hierarchy — writes the
+// requested telemetry exports, and prints the reports to w.
+func runSingle(w io.Writer, cfg daemon.Config, pub *obsv.Publisher) error {
 	// A collector attaches to the policy run when any telemetry output was
 	// requested. Events are recorded in virtual time, so the files are
 	// byte-identical at any -workers setting — and unchanged by -serve,
 	// whose publisher tee is strictly read-side.
+	tel := cfg.Telemetry
 	var col *telemetry.Collector
-	if *traceOut != "" || *metrics != "" || *epochs {
+	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
 		col = telemetry.NewCollector()
 	}
-	runLabel := spec.Name + "/" + *polFlag
+	runLabel := cfg.App + "/" + cfg.Policy
 	var rec telemetry.Recorder
 	if pub != nil {
 		rec = pub.Recorder(runLabel, col)
 	} else if col != nil {
 		rec = col
 	}
-	attach := func(cfg *sim.Config) {
-		if rec != nil {
-			cfg.Recorder = rec
-		}
-		// Chaos applies only to the policy run; the all-DRAM baseline arm
-		// below never migrates and stays uninjected.
-		if *chaosRate > 0 {
-			cfg.Chaos = chaos.Config{
-				Seed: *chaosSeed, Rate: *chaosRate, PermanentFraction: *chaosPerm,
-			}
-		}
+	// Chaos, like the recorder, applies only to the policy run; the
+	// all-DRAM baseline arm never migrates and stays uninjected.
+	rs, err := cfg.RunSpec(rec)
+	if err != nil {
+		return err
 	}
-	var engHook func(*cgroup.Group, *core.Engine)
 	if pub != nil {
-		engHook = func(_ *cgroup.Group, eng *core.Engine) {
+		rs.EngineHook = func(_ *cgroup.Group, eng *core.Engine) {
 			eng.EnablePublish()
 			pub.AttachEngine(runLabel, eng)
 		}
 	}
 
-	var runPolicy func() (*harness.Outcome, error)
-	switch *polFlag {
-	case "thermostat":
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunThermostatWith(spec, sc, *slowdown, attach, engHook)
+	var base, outcome *harness.Outcome
+	if len(rs.Tiers) > 0 {
+		logger.Info("running N-tier hierarchy", "app", rs.Spec.Name,
+			"tiers", strings.Join(cfg.Tiers, ","), "target_pct", cfg.SlowdownPct)
+		if outcome, err = harness.Run(rs); err != nil {
+			return err
 		}
-	case "idle-demote":
-		interval := int64(*idleSecs * 1e9 * float64(sc.TimeDilate) / 4)
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunPolicyWith(spec, sc, &core.IdleDemote{Interval: interval, IdleScans: 4}, attach)
+	} else {
+		// The all-DRAM baseline and the policy run are independent
+		// simulations; fan the pair out across -workers goroutines.
+		logger.Info("running baseline + policy pair", "app", rs.Spec.Name, "policy", cfg.Policy)
+		outs, err := pool.Map(cfg.Workers, []pool.Task[*harness.Outcome]{
+			{Label: rs.Spec.Name + "/baseline", Run: func() (*harness.Outcome, error) {
+				return harness.RunBaseline(rs.Spec, rs.Scale)
+			}},
+			{Label: runLabel, Run: func() (*harness.Outcome, error) { return harness.Run(rs) }},
+		})
+		if err != nil {
+			return err
 		}
-	case "all-dram":
-		runPolicy = func() (*harness.Outcome, error) { return harness.RunBaselineWith(spec, sc, attach) }
-	default:
-		// validate() already vetted the name: a composition policy from the
-		// core registry, paired with -tracker (default poison).
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunComposedHooked(spec, sc, tracker, *polFlag, *slowdown, attach, engHook)
-		}
+		base, outcome = outs[0], outs[1]
 	}
 
-	// The all-DRAM baseline and the policy run are independent simulations;
-	// fan the pair out across -workers goroutines.
-	logger.Info("running baseline + policy pair", "app", spec.Name, "policy", *polFlag)
-	outs, err := pool.Map(*workers, []pool.Task[*harness.Outcome]{
-		{Label: spec.Name + "/baseline", Run: func() (*harness.Outcome, error) {
-			return harness.RunBaseline(spec, sc)
-		}},
-		{Label: runLabel, Run: runPolicy},
-	})
-	if err != nil {
-		fatal(err)
+	if err := writeTelemetry(w, tel, col); err != nil {
+		return err
 	}
-	base, outcome := outs[0], outs[1]
-
-	if col != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, col.WriteChromeTrace); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", *traceOut)
-		}
-		if *metrics != "" {
-			if err := writeFile(*metrics, col.WriteJSONL); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote per-epoch metrics", "path", *metrics)
-		}
-		if *epochs {
-			fmt.Println(col.EpochTable())
-		}
+	if base == nil {
+		return printNTier(w, cfg, outcome)
 	}
-
 	res := outcome.Result
 	fp := res.FinalFootprint
 	summary := report.NewTable("Run summary", "metric", "value")
-	summary.AddF("application", spec.Name)
+	summary.AddF("application", rs.Spec.Name)
 	summary.AddF("policy", res.PolicyName)
 	summary.AddF("simulated_seconds", float64(res.DurationNs)/1e9)
 	summary.AddF("ops", res.Ops)
@@ -295,7 +243,7 @@ func main() {
 		summary.AddF("demotions", st.Demotions)
 		summary.AddF("promotions_corrections", st.Promotions)
 	}
-	if *chaosRate > 0 {
+	if cfg.Chaos.Rate > 0 {
 		f := outcome.Faults
 		summary.AddF("chaos_faults_injected", f.Injected)
 		summary.AddF("chaos_faults_permanent", f.Permanent)
@@ -307,10 +255,11 @@ func main() {
 				"quarantined", f.Quarantined, "injected", f.Injected)
 		}
 	}
-	fmt.Println(summary.String())
+	fmt.Fprintln(w, summary.String())
 
-	fmt.Println(report.SeriesTable("Footprint over time (bytes)",
+	fmt.Fprintln(w, report.SeriesTable("Footprint over time (bytes)",
 		res.Cold2M, res.Cold4K, res.Hot2M, res.Hot4K).String())
+	return nil
 }
 
 // serveAddrs deduplicates the -serve/-pprof addresses, preserving order.
@@ -327,73 +276,51 @@ func serveAddrs(addrs ...string) []string {
 	return out
 }
 
-// fleetIO bundles the output, chaos, and observability hooks the fleet
-// mode honors.
-type fleetIO struct {
-	trace, metrics string
-	epochs         bool
-	chaosRate      float64
-	chaosSeed      uint64
-	chaosPerm      float64
-	pub            *obsv.Publisher
-}
-
-// runFleet runs the named application models as co-located tenants of one
-// machine under fleet DRAM arbitration and prints the per-tenant report:
-// each tenant's SLO is -slowdown, its engine the -tracker × -policy
+// runFleet runs cfg's tenants as co-located application models of one
+// machine under fleet DRAM arbitration and prints the per-tenant report to
+// w: each tenant's SLO is -slowdown, its engine the -tracker × -policy
 // composition, and its measured slowdown comes from a solo all-DRAM
-// baseline of the same workload (fanned across -workers).
-func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown float64, workers int, fio fleetIO) {
+// baseline of the same workload (fanned across -workers). The fleet runs
+// at the scale, and with the chaos injection, of the config's run
+// translation.
+func runFleet(w io.Writer, cfg daemon.Config, pub *obsv.Publisher) error {
+	rs, err := cfg.RunSpec(nil)
+	if err != nil {
+		return err
+	}
+	tracker, policy := cfg.Tracker, cfg.Policy
+	if tracker == "" {
+		tracker = "poison"
+	}
 	if policy == "thermostat" {
 		// The paper's arm is the poison+threshold composition.
 		tracker, policy = "poison", "threshold"
 	}
 	var tenants []harness.FleetTenant
-	for _, name := range strings.Split(names, ",") {
+	for _, name := range cfg.Tenants {
 		spec, _ := workload.ByName(strings.TrimSpace(name))
 		// Leave Name empty: the harness default ("<spec>-<i>") keeps cgroup
 		// names unique even when the same model is listed twice.
 		tenants = append(tenants, harness.FleetTenant{
-			Spec: spec, SLOPct: slowdown, Tracker: tracker, Policy: policy,
+			Spec: spec, SLOPct: cfg.SlowdownPct, Tracker: tracker, Policy: policy,
 		})
 	}
+	tel := cfg.Telemetry
 	opt := harness.FleetOptions{
-		Scale: sc, Tenants: tenants, Workers: workers, Baselines: true,
-		Publisher: fio.pub,
+		Scale: rs.Scale, Tenants: tenants, Workers: cfg.Workers, Baselines: true,
+		Publisher: pub, ConfigMutate: rs.ConfigHook,
 	}
-	if fio.trace != "" || fio.metrics != "" || fio.epochs {
+	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
 		opt.Telemetry = &harness.TelemetryOptions{}
 	}
-	if fio.chaosRate > 0 {
-		opt.ConfigMutate = func(cfg *sim.Config) {
-			cfg.Chaos = chaos.Config{
-				Seed: fio.chaosSeed, Rate: fio.chaosRate, PermanentFraction: fio.chaosPerm,
-			}
-		}
-	}
 	logger.Info("running tenants under fleet arbitration",
-		"tenants", len(tenants), "apps", names)
+		"tenants", len(tenants), "apps", strings.Join(cfg.Tenants, ","))
 	fo, err := harness.FleetRun(opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if col := fo.Telemetry; col != nil {
-		if fio.trace != "" {
-			if err := writeFile(fio.trace, col.WriteChromeTrace); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", fio.trace)
-		}
-		if fio.metrics != "" {
-			if err := writeFile(fio.metrics, col.WriteJSONL); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote per-epoch metrics", "path", fio.metrics)
-		}
-		if fio.epochs {
-			fmt.Println(col.EpochTable())
-		}
+	if err := writeTelemetry(w, tel, fo.Telemetry); err != nil {
+		return err
 	}
 
 	// The fleet interleave time-shares the machine, so tenant throughput is
@@ -422,52 +349,31 @@ func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown f
 			fmt.Sprintf("%.0f", float64(tr.FastBytes)/(1<<20)),
 			fmt.Sprintf("%.0f", float64(tr.FootprintBytes)/(1<<20)))
 	}
-	fmt.Println(tbl.String())
+	fmt.Fprintln(w, tbl.String())
 
 	fp := r.Global.FinalFootprint
-	fmt.Printf("pool %.0f MB, %d arbiter periods; fleet placement %.0f MB hot / %.0f MB cold (%.1f%% cold)\n",
+	fmt.Fprintf(w, "pool %.0f MB, %d arbiter periods; fleet placement %.0f MB hot / %.0f MB cold (%.1f%% cold)\n",
 		float64(r.PoolBytes)/(1<<20), r.Periods,
 		float64(fp.Hot2M+fp.Hot4K)/(1<<20), float64(fp.Cold())/(1<<20),
 		100*fp.ColdFraction())
 	if sv, err := harness.FleetSavings(fo); err == nil {
-		fmt.Printf("fleet-wide DRAM cost saving vs all-DRAM provisioning: %.1f%%\n", 100*sv)
+		fmt.Fprintf(w, "fleet-wide DRAM cost saving vs all-DRAM provisioning: %.1f%%\n", 100*sv)
 	}
+	return nil
 }
 
-// runNTier runs spec on the named device hierarchy and prints the N-tier
-// reports: run summary, per-tier-pair migration traffic, per-tier cost.
-func runNTier(spec workload.Spec, sc harness.Scale, names, tracker, policy string, slowdown float64) {
-	var tiers []mem.Spec
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		spec, ok := mem.Preset(name, 0) // capacities sized by the harness
-		if !ok {
-			fatal(fmt.Errorf("unknown device preset %q (presets: %s)", name, strings.Join(mem.PresetNames(), ", ")))
-		}
-		tiers = append(tiers, spec)
-	}
-	logger.Info("running N-tier hierarchy",
-		"app", spec.Name, "tiers", names, "target_pct", slowdown)
-	var out *harness.Outcome
-	var err error
-	if policy == "thermostat" {
-		out, err = harness.RunNTier(spec, sc, tiers, slowdown)
-	} else {
-		out, err = harness.RunNTierComposed(spec, sc, tiers, tracker, policy, slowdown)
-	}
-	if err != nil {
-		fatal(err)
-	}
+// printNTier prints an N-tier outcome's reports: run summary, per-tier-pair
+// migration traffic, per-tier cost.
+func printNTier(w io.Writer, cfg daemon.Config, out *harness.Outcome) error {
 	rep, err := harness.AnalyzeNTier(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
 	res := out.Result
 	st := out.Engine.Stats()
 	summary := report.NewTable("Run summary", "metric", "value")
-	summary.AddF("application", spec.Name)
-	summary.AddF("tiers", names)
+	summary.AddF("application", out.Spec.Name)
+	summary.AddF("tiers", strings.Join(cfg.Tiers, ","))
 	summary.AddF("simulated_seconds", float64(res.DurationNs)/1e9)
 	summary.AddF("ops", res.Ops)
 	summary.AddF("throughput_ops_per_s", res.Throughput)
@@ -476,9 +382,35 @@ func runNTier(spec workload.Spec, sc harness.Scale, names, tracker, policy strin
 	summary.AddF("promotions_corrections", st.Promotions)
 	summary.AddF("sinks_to_lower_tiers", st.Sinks)
 	summary.AddF("savings_vs_all_dram_pct", rep.Savings*100)
-	fmt.Println(summary.String())
-	fmt.Println(rep.TrafficTable().String())
-	fmt.Println(rep.CostTable().String())
+	fmt.Fprintln(w, summary.String())
+	fmt.Fprintln(w, rep.TrafficTable().String())
+	fmt.Fprintln(w, rep.CostTable().String())
+	return nil
+}
+
+// writeTelemetry writes col's exports to the configured sinks and prints
+// the per-epoch table to w; a nil collector (no output requested) writes
+// nothing.
+func writeTelemetry(w io.Writer, tel daemon.TelemetryConfig, col *telemetry.Collector) error {
+	if col == nil {
+		return nil
+	}
+	if tel.Trace != "" {
+		if err := writeFile(tel.Trace, col.WriteChromeTrace); err != nil {
+			return err
+		}
+		logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", tel.Trace)
+	}
+	if tel.Metrics != "" {
+		if err := writeFile(tel.Metrics, col.WriteJSONL); err != nil {
+			return err
+		}
+		logger.Info("wrote per-epoch metrics", "path", tel.Metrics)
+	}
+	if tel.Epochs {
+		fmt.Fprintln(w, col.EpochTable())
+	}
+	return nil
 }
 
 // writeFile creates path and streams write into it.

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -206,5 +209,41 @@ func TestValidateAcceptsTenantCombos(t *testing.T) {
 	o.Tenants, o.ChaosRate, o.ChaosPerm = "redis,web-search", 0.3, 0.5
 	if err := validate(o); err != nil {
 		t.Fatalf("tenant fleet with chaos rejected: %v", err)
+	}
+}
+
+// TestTiersRunWritesExports pins that an N-tier run honors the telemetry
+// flags: -tiers goes through the same run translation as the two-tier
+// path, so the collector attaches, records per-epoch snapshots, and both
+// export files are written.
+func TestTiersRunWritesExports(t *testing.T) {
+	dir := t.TempDir()
+	o := valid()
+	o.Duration, o.Seed, o.LogFormat = 2, 1, "text"
+	o.Tiers = "dram,cxl,nvm"
+	o.Trace = filepath.Join(dir, "t.json")
+	o.Metrics = filepath.Join(dir, "t.jsonl")
+	if err := validate(o); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runSingle(&out, o.config(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{o.Trace, o.Metrics} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty (err %v)", path, err)
+		}
+	}
+	// One JSONL line per epoch snapshot.
+	jsonl, err := os.ReadFile(o.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(jsonl, []byte(`{"epoch":`)); n == 0 {
+		t.Errorf("metrics file has no epoch snapshots:\n%s", jsonl)
+	}
+	if !strings.Contains(out.String(), "per-tier-pair migration traffic") {
+		t.Errorf("N-tier report missing:\n%s", out.String())
 	}
 }

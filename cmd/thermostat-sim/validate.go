@@ -8,8 +8,8 @@ import (
 	"thermostat/internal/workload"
 )
 
-// options captures every flag value that validation inspects, so the
-// validator is a pure function the tests drive directly.
+// options captures every flag value of a run, so the validator and the
+// flag-to-config mapping are pure functions the tests drive directly.
 type options struct {
 	App          string
 	Policy       string
@@ -18,14 +18,21 @@ type options struct {
 	Slowdown     float64
 	IdleSecs     float64
 	Duration     float64
+	Seed         uint64
 	Tiers        string
 	Tenants      string
+	Workers      int
 	ChaosRate    float64
+	ChaosSeed    uint64
 	ChaosPerm    float64
+	Trace        string
+	Metrics      string
+	Epochs       bool
 	Serve        string
 	Pprof        string
 	LogFormat    string
 	Footprint    string
+	Sparse       bool
 	ShardWorkers int
 }
 
@@ -37,6 +44,34 @@ func splitList(s string) []string {
 		return nil
 	}
 	return strings.Split(s, ",")
+}
+
+// config maps the flag set onto the config layer, the one description of a
+// run thermostat-sim and thermostatd share.
+func (o options) config() daemon.Config {
+	return daemon.Config{
+		App:          o.App,
+		Policy:       o.Policy,
+		Tracker:      o.Tracker,
+		Scale:        o.Scale,
+		SlowdownPct:  o.Slowdown,
+		IdleWindowS:  o.IdleSecs,
+		DurationS:    o.Duration,
+		Seed:         o.Seed,
+		Footprint:    o.Footprint,
+		Sparse:       o.Sparse,
+		ShardWorkers: o.ShardWorkers,
+		Workers:      o.Workers,
+		Tiers:        splitList(o.Tiers),
+		Tenants:      splitList(o.Tenants),
+		Chaos: daemon.ChaosConfig{
+			Rate: o.ChaosRate, PermanentFraction: o.ChaosPerm, Seed: o.ChaosSeed,
+		},
+		Telemetry: daemon.TelemetryConfig{Trace: o.Trace, Metrics: o.Metrics, Epochs: o.Epochs},
+		Serve:     o.Serve,
+		Pprof:     o.Pprof,
+		LogFormat: o.LogFormat,
+	}
 }
 
 // validate rejects inconsistent flag combinations before any simulation
@@ -52,22 +87,5 @@ func validate(o options) error {
 	if o.Policy == "" {
 		return fmt.Errorf("unknown policy %q (thermostat, idle-demote, all-dram, or a composition policy)", o.Policy)
 	}
-	cfg := daemon.Config{
-		App:          o.App,
-		Policy:       o.Policy,
-		Tracker:      o.Tracker,
-		Scale:        o.Scale,
-		SlowdownPct:  o.Slowdown,
-		IdleWindowS:  o.IdleSecs,
-		DurationS:    o.Duration,
-		Footprint:    o.Footprint,
-		ShardWorkers: o.ShardWorkers,
-		Tiers:        splitList(o.Tiers),
-		Tenants:      splitList(o.Tenants),
-		Chaos:        daemon.ChaosConfig{Rate: o.ChaosRate, PermanentFraction: o.ChaosPerm},
-		Serve:        o.Serve,
-		Pprof:        o.Pprof,
-		LogFormat:    o.LogFormat,
-	}
-	return cfg.Validate()
+	return o.config().Validate()
 }

@@ -21,7 +21,7 @@ type ScopedApp interface {
 // the cgroup holding its Thermostat knobs and DRAM accounting (a child of
 // the fleet's pool group), and a composed Tracker × Policy engine scoped to
 // the workload's regions. The SLO fields are the fleet arbiter's inputs; a
-// single-tenant Tenant degenerates to exactly the RunComposed setup.
+// single-tenant Tenant degenerates to exactly the solo composed run.
 type Tenant struct {
 	// Name identifies the tenant in reports and telemetry.
 	Name string

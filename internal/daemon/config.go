@@ -14,9 +14,13 @@ import (
 	"os"
 	"strings"
 
+	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/harness"
 	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
+	"thermostat/internal/sim"
+	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -206,7 +210,8 @@ func EnginePolicy(policy string) bool {
 
 // ValidScale reports whether name is a known scale profile.
 func ValidScale(name string) bool {
-	return name == "tiny" || name == "bench" || name == "repro"
+	_, err := harness.ScaleByName(name, 0)
+	return err == nil
 }
 
 // Validate rejects inconsistent configurations with a one-line usage error
@@ -369,6 +374,60 @@ func (c Config) ValidateForDaemon() error {
 			c.Policy, strings.Join(core.PolicyNames(), ", "))
 	}
 	return nil
+}
+
+// RunSpec translates c's single-app run — workload and footprint, scale
+// profile and its overrides, tiers, policy arm, chaos injection — into the
+// harness run description, with rec (nil for none) attached as the
+// machine's telemetry recorder. thermostat-sim and thermostatd both run
+// exactly this translation, so a daemon run of a config is bit-identical to
+// the CLI run of the same flags. c must have passed Validate.
+func (c Config) RunSpec(rec telemetry.Recorder) (harness.RunSpec, error) {
+	spec, ok := workload.ByName(c.App)
+	if !ok {
+		return harness.RunSpec{}, fmt.Errorf("unknown application %q (try -list)", c.App)
+	}
+	if c.Footprint != "" {
+		target, err := workload.ParseSize(c.Footprint)
+		if err != nil {
+			return harness.RunSpec{}, fmt.Errorf("-footprint: %v", err)
+		}
+		spec = spec.WithFootprint(target)
+	}
+	sc, err := harness.ScaleByName(c.Scale, c.DurationS)
+	if err != nil {
+		return harness.RunSpec{}, err
+	}
+	sc.Seed, sc.Sparse, sc.ShardWorkers = c.Seed, c.Sparse, c.ShardWorkers
+	if c.PeriodS > 0 {
+		sc.PeriodNs = int64(c.PeriodS * 1e9)
+	}
+	rs := harness.RunSpec{Spec: spec, Scale: sc,
+		PolicyName: c.Policy, Tracker: c.Tracker, SlowdownPct: c.SlowdownPct}
+	for _, name := range c.Tiers {
+		t, ok := mem.Preset(strings.TrimSpace(name), 0) // capacities sized by the harness
+		if !ok {
+			return harness.RunSpec{}, fmt.Errorf("unknown device preset %q", name)
+		}
+		rs.Tiers = append(rs.Tiers, t)
+	}
+	if c.Policy == "idle-demote" {
+		// Four idle scans span the window, in dilated time.
+		rs.Policy = &core.IdleDemote{
+			Interval: int64(c.IdleWindowS * 1e9 * float64(sc.TimeDilate) / 4), IdleScans: 4,
+		}
+	}
+	inject := chaos.Config{Seed: c.Chaos.Seed, Rate: c.Chaos.Rate,
+		PermanentFraction: c.Chaos.PermanentFraction}
+	rs.ConfigHook = func(cfg *sim.Config) {
+		if rec != nil {
+			cfg.Recorder = rec
+		}
+		if inject.Rate > 0 {
+			cfg.Chaos = inject
+		}
+	}
+	return rs, nil
 }
 
 // Decode parses a config document — strict JSON (first byte '{') or the

@@ -12,14 +12,11 @@ import (
 	"time"
 
 	"thermostat/internal/cgroup"
-	"thermostat/internal/chaos"
 	"thermostat/internal/core"
 	"thermostat/internal/harness"
-	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
-	"thermostat/internal/workload"
 )
 
 // ErrSimulatedCrash is returned by Run when CrashAfterEpoch fires: the run
@@ -35,7 +32,8 @@ var ErrSimulatedCrash = errors.New("daemon: simulated crash")
 var ErrHalted = errors.New("daemon: halted by degradation ladder")
 
 // Runner owns one supervised simulation run: it assembles the machine,
-// app, and engine from a Config, drives the run with a deterministic tick
+// app, and engine from a Config through the same Config.RunSpec
+// translation thermostat-sim uses, drives the run with a deterministic tick
 // hook (reload timeline, degradation ladder, checkpoints, pacing), and
 // flushes telemetry on every exit path. Configure the exported fields, then
 // call Run once; Reload and Stop are safe from other goroutines for the
@@ -215,19 +213,40 @@ func (r *Runner) run() (*RunOutcome, error) {
 	r.epoch = 0
 	r.mu.Unlock()
 
-	rs, app, err := r.assemble(cfg)
+	// The daemon always collects telemetry (bounded ring), so a reload can
+	// turn on exports mid-run and the crash-flush path always has data.
+	r.col = telemetry.NewCollector()
+	label := cfg.App + "/" + cfg.Policy
+	var inner telemetry.Recorder = r.col
+	if r.Publisher != nil {
+		inner = r.Publisher.Recorder(label, r.col)
+	}
+	rs := &runState{
+		shed:      &shedRecorder{inner: inner},
+		ladder:    &ladder{cfg: cfg.Daemon.Degrade},
+		preload:   append([]TimelineEntry(nil), r.Timeline...),
+		replaying: r.Restore != nil,
+	}
+	spec, err := cfg.RunSpec(rs.shed)
 	if err != nil {
 		return nil, err
 	}
+	if r.Publisher != nil {
+		spec.EngineHook = func(_ *cgroup.Group, eng *core.Engine) {
+			eng.EnablePublish()
+			r.Publisher.AttachEngine(label, eng)
+		}
+	}
+	spec.TickHook = func(now int64) error { return r.tick(rs, now) }
+	a, err := spec.Assemble()
+	if err != nil {
+		return nil, err
+	}
+	rs.sc, rs.m, rs.eng, rs.group = a.Scale, a.Machine, a.Engine, a.Group
+	rs.basePeriodNs = a.Scale.PeriodNs
 	r.setPublishedHealth(Healthy)
 
-	rc := sim.RunConfig{
-		DurationNs: rs.sc.DurationNs,
-		WarmupNs:   rs.sc.WarmupNs,
-		WindowNs:   rs.sc.PeriodNs,
-		TickHook:   func(now int64) error { return r.tick(rs, now) },
-	}
-	res, err := sim.Run(rs.m, app, rs.eng, rc)
+	ran, err := a.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +257,7 @@ func (r *Runner) run() (*RunOutcome, error) {
 	journal := append([]TimelineEntry(nil), r.journal...)
 	r.mu.Unlock()
 	out := &RunOutcome{
-		Result: res, Machine: rs.m, Engine: rs.eng, Collector: r.col,
+		Result: ran.Result, Machine: rs.m, Engine: rs.eng, Collector: r.col,
 		Config: finalCfg, Timeline: journal, Epochs: epochs, Health: finalHealth,
 	}
 	if rs.crashed {
@@ -251,112 +270,6 @@ func (r *Runner) run() (*RunOutcome, error) {
 		removeCheckpoint(finalCfg.Daemon.CheckpointPath)
 	}
 	return out, nil
-}
-
-// assemble builds the machine, app, engine and telemetry chain from cfg,
-// mirroring the CLI harness assembly exactly (same seeds, same order) so a
-// daemon run of a config is bit-identical to the equivalent CLI run.
-func (r *Runner) assemble(cfg Config) (*runState, sim.App, error) {
-	spec, _ := workload.ByName(cfg.App) // vetted by ValidateForDaemon
-	if cfg.Footprint != "" {
-		target, _ := workload.ParseSize(cfg.Footprint) // vetted
-		spec = spec.WithFootprint(target)
-	}
-	var sc harness.Scale
-	switch cfg.Scale {
-	case "tiny":
-		sc = harness.Tiny()
-	case "bench":
-		sc = harness.Bench()
-	default:
-		sc = harness.Repro()
-	}
-	sc.Seed = cfg.Seed
-	sc.Sparse = cfg.Sparse
-	sc.ShardWorkers = cfg.ShardWorkers
-	if cfg.DurationS > 0 {
-		sc.DurationNs = int64(cfg.DurationS * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
-	}
-	if cfg.PeriodS > 0 {
-		sc.PeriodNs = int64(cfg.PeriodS * 1e9)
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, nil, err
-	}
-
-	var simCfg sim.Config
-	if len(cfg.Tiers) > 0 {
-		var tiers []mem.Spec
-		for _, name := range cfg.Tiers {
-			t, _ := mem.Preset(strings.TrimSpace(name), 0) // vetted
-			tiers = append(tiers, t)
-		}
-		simCfg = sc.TieredMachineConfig(spec, tiers)
-	} else {
-		simCfg = sc.MachineConfig(spec, true)
-	}
-	if cfg.Chaos.Rate > 0 {
-		simCfg.Chaos = chaos.Config{
-			Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate,
-			PermanentFraction: cfg.Chaos.PermanentFraction,
-		}
-	}
-
-	// The daemon always collects telemetry (bounded ring), so a reload can
-	// turn on exports mid-run and the crash-flush path always has data.
-	r.col = telemetry.NewCollector()
-	label := cfg.App + "/" + cfg.Policy
-	var inner telemetry.Recorder = r.col
-	if r.Publisher != nil {
-		inner = r.Publisher.Recorder(label, r.col)
-	}
-	shed := &shedRecorder{inner: inner}
-	simCfg.Recorder = shed
-
-	m, err := sim.New(simCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := sc.Group(cfg.SlowdownPct)
-	if err != nil {
-		return nil, nil, err
-	}
-	var eng *core.Engine
-	if cfg.Policy == "thermostat" {
-		eng = core.NewEngine(g, sc.Seed+0x7e)
-	} else {
-		tracker := cfg.Tracker
-		if tracker == "" {
-			tracker = "poison"
-		}
-		eng, err = core.ComposeByName(g, tracker, cfg.Policy, sc.Seed+0x7e)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if sc.ShardWorkers > 1 {
-		eng.SetSharding(sc.ShardWorkers, sc.ShardWorkers)
-	}
-	if r.Publisher != nil {
-		eng.EnablePublish()
-		r.Publisher.AttachEngine(label, eng)
-	}
-
-	rs := &runState{
-		sc: sc, m: m, eng: eng, group: g, shed: shed,
-		ladder:       &ladder{cfg: cfg.Daemon.Degrade},
-		basePeriodNs: sc.PeriodNs,
-		preload:      append([]TimelineEntry(nil), r.Timeline...),
-		replaying:    r.Restore != nil,
-	}
-	return rs, app, nil
 }
 
 // tick is the deterministic control point, called by sim.Run after every

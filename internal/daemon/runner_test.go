@@ -1,11 +1,15 @@
 package daemon
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"thermostat/internal/harness"
+	"thermostat/internal/telemetry"
 )
 
 // tinyConfig is the base test config: redis under the paper's arm at the
@@ -58,6 +62,62 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if outA.Health != Healthy {
 		t.Errorf("clean run ended %v, want healthy", outA.Health)
+	}
+}
+
+// TestDaemonMatchesHarnessRun pins the daemon's bit-identity claim: a
+// supervised run of a config exports exactly the bytes harness.Run produces
+// for the same Config.RunSpec translation — the paper's arm, a tracker ×
+// policy composition, and an N-tier hierarchy.
+func TestDaemonMatchesHarnessRun(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"thermostat", func(*Config) {}},
+		{"damon+heat", func(c *Config) { c.Tracker, c.Policy = "damon", "heat" }},
+		{"three-tier", func(c *Config) { c.Tiers = []string{"dram", "cxl", "nvm"} }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			cfg := tinyConfig(t, dir)
+			cfg.DurationS = 2
+			tc.mutate(&cfg)
+			cfg = cfg.Normalize()
+
+			r := &Runner{Config: cfg, NoPacing: true}
+			if _, err := r.Run(); err != nil {
+				t.Fatalf("daemon run: %v", err)
+			}
+
+			col := telemetry.NewCollector()
+			spec, err := cfg.RunSpec(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := harness.Run(spec); err != nil {
+				t.Fatalf("harness run: %v", err)
+			}
+			if len(col.Snapshots()) == 0 {
+				t.Fatal("harness run recorded no snapshots")
+			}
+			var trace, metrics bytes.Buffer
+			if err := col.WriteChromeTrace(&trace); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.WriteJSONL(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readFileT(t, cfg.Telemetry.Trace), trace.Bytes()) {
+				t.Error("Chrome trace differs between daemon and harness.Run")
+			}
+			if !bytes.Equal(readFileT(t, cfg.Telemetry.Metrics), metrics.Bytes()) {
+				t.Error("JSONL metrics differ between daemon and harness.Run")
+			}
+		})
 	}
 }
 

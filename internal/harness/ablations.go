@@ -56,7 +56,8 @@ func runAblationGrid(title string, spec workload.Spec, opt Options, arms []ablat
 		tasks = append(tasks, pool.Task[*Outcome]{
 			Label: title + "/" + arm.config,
 			Run: func() (*Outcome, error) {
-				return RunThermostatWith(spec, sc, 3, arm.cfgMutate, arm.engMutate)
+				return Run(RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+					ConfigHook: arm.cfgMutate, EngineHook: arm.engMutate})
 			},
 		})
 	}

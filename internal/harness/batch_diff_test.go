@@ -4,31 +4,20 @@ import (
 	"reflect"
 	"testing"
 
-	"thermostat/internal/core"
 	"thermostat/internal/sim"
 	"thermostat/internal/workload"
 )
 
-// runThermostatBatch replicates RunThermostatWith but exposes the
-// DisableBatch switch, so the test can compare the batched engine against
-// the per-op reference on a full Thermostat experiment.
+// runThermostatBatch assembles a Thermostat run and drives it with the
+// DisableBatch switch exposed, so the test can compare the batched engine
+// against the per-op reference on a full Thermostat experiment.
 func runThermostatBatch(t *testing.T, spec workload.Spec, sc Scale, disable bool) *sim.RunResult {
 	t.Helper()
-	cfg := sc.MachineConfig(spec, true)
-	m, err := sim.New(cfg)
+	a, err := RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3}.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sc.Group(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(g, sc.Seed+0x7e)
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
+	res, err := sim.Run(a.Machine, a.App, a.Engine, sim.RunConfig{
 		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
 		DisableBatch: disable,
 	})

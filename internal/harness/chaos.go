@@ -64,8 +64,9 @@ func ChaosSweep(spec workload.Spec, rates []float64, opt ChaosOptions) ([]ChaosP
 		tasks[i] = pool.Task[*Outcome]{
 			Label: fmt.Sprintf("chaos/%s/rate=%g", spec.Name, rate),
 			Run: func() (*Outcome, error) {
-				return RunThermostatWith(spec, opt.Scale, opt.SlowdownPct,
-					func(c *sim.Config) { c.Chaos = cfg }, nil)
+				return Run(RunSpec{Spec: spec, Scale: opt.Scale,
+					PolicyName: "thermostat", SlowdownPct: opt.SlowdownPct,
+					ConfigHook: func(c *sim.Config) { c.Chaos = cfg }})
 			},
 		}
 	}

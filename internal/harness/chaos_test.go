@@ -30,10 +30,11 @@ func runWithChaos(t *testing.T, app string, sc Scale, cfg chaos.Config) (*Outcom
 		t.Fatalf("no workload %q", app)
 	}
 	col := telemetry.NewCollector()
-	out, err := RunThermostatWith(spec, sc, 3, func(c *sim.Config) {
-		c.Recorder = col
-		c.Chaos = cfg
-	}, nil)
+	out, err := Run(RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+		ConfigHook: func(c *sim.Config) {
+			c.Recorder = col
+			c.Chaos = cfg
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +193,10 @@ func TestThermostatSurvivesFullSlowTier(t *testing.T) {
 	}
 	t.Parallel()
 	spec, _ := workload.ByName("redis")
-	out, err := RunThermostatWith(spec, chaosScale(), 3, func(c *sim.Config) {
-		c.SlowSpec.Capacity = 2 << 20 // one 2MB frame: demotion pressure hits OOM fast
-	}, nil)
+	out, err := Run(RunSpec{Spec: spec, Scale: chaosScale(), PolicyName: "thermostat", SlowdownPct: 3,
+		ConfigHook: func(c *sim.Config) {
+			c.SlowSpec.Capacity = 2 << 20 // one 2MB frame: demotion pressure hits OOM fast
+		}})
 	if err != nil {
 		t.Fatalf("full slow tier aborted the run: %v", err)
 	}

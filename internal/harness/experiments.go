@@ -96,11 +96,13 @@ func RunAll(opt Options) (map[string]*AppRun, error) {
 					opt.Publisher.AttachEngine(spec.Name+"/thermostat", eng)
 				}
 			}
-			base, err := RunBaselineWith(spec, opt.Scale, baseMutate)
+			base, err := Run(RunSpec{Spec: spec, Scale: opt.Scale, PolicyName: "all-dram",
+				ConfigHook: baseMutate})
 			if err != nil {
 				return nil, err
 			}
-			th, err := RunThermostatWith(spec, opt.Scale, opt.SlowdownPct, thMutate, engMutate)
+			th, err := Run(RunSpec{Spec: spec, Scale: opt.Scale, PolicyName: "thermostat",
+				SlowdownPct: opt.SlowdownPct, ConfigHook: thMutate, EngineHook: engMutate})
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +167,7 @@ func Fig1(opt Options) (*Fig1Result, error) {
 		spec := spec
 		tasks[i] = pool.Task[float64]{Label: "fig1/" + spec.Name, Run: func() (float64, error) {
 			pol := &scanOnly{interval: sc.PeriodNs}
-			if _, err := RunPolicy(spec, sc, pol); err != nil {
+			if _, err := Run(RunSpec{Spec: spec, Scale: sc, Policy: pol}); err != nil {
 				return 0, err
 			}
 			return pol.scanner.IdleFraction(idleScans), nil
@@ -247,7 +249,7 @@ func NaivePlacement(spec workload.Spec, opt Options) (*NaiveResult, error) {
 			return RunBaseline(spec, sc)
 		}},
 		{Label: "naive/" + spec.Name + "/idle-demote", Run: func() (*Outcome, error) {
-			return RunPolicy(spec, sc, pol)
+			return Run(RunSpec{Spec: spec, Scale: sc, Policy: pol})
 		}},
 	})
 	if err != nil {
@@ -290,27 +292,18 @@ func Fig2(opt Options) (*Fig2Result, error) {
 	opt = opt.withDefaults()
 	spec := workload.Redis()
 	sc := opt.Scale
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := sim.New(sc.MachineConfig(spec, true))
-	if err != nil {
-		return nil, err
-	}
-	m.EnablePageCounts()
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
 	pol := &splitScan{interval: sc.PeriodNs}
-	res, err := sim.Run(m, app, pol, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
+	a, err := RunSpec{Spec: spec, Scale: sc, Policy: pol}.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	counts := m.PageCounts()
-	durSec := float64(res.DurationNs) / 1e9
+	a.Machine.EnablePageCounts()
+	run, err := a.Run()
+	if err != nil {
+		return nil, err
+	}
+	counts := a.Machine.PageCounts()
+	durSec := float64(run.Result.DurationNs) / 1e9
 	out := &Fig2Result{}
 	var xs, ys []float64
 	for _, base := range pol.bases {
@@ -356,15 +349,28 @@ func Table1(opt Options) ([]Table1Row, error) {
 	if sc.WarmupNs >= sc.DurationNs {
 		sc.WarmupNs = sc.DurationNs / 5
 	}
+	// Each arm runs with no placement policy and one page size at both
+	// guest and host.
+	pageMode := func(spec workload.Spec, huge bool) (*Outcome, error) {
+		a, err := RunSpec{Spec: spec, Scale: sc, PolicyName: "all-dram",
+			ConfigHook: func(cfg *sim.Config) { cfg.VM.HostHugePages = huge }}.Assemble()
+		if err != nil {
+			return nil, err
+		}
+		if !huge {
+			a.App.DisableHugePages()
+		}
+		return a.Run()
+	}
 	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
 	for i, spec := range opt.Apps {
 		spec := spec
 		grid[i] = []pool.Task[*Outcome]{
 			{Label: "table1/" + spec.Name + "/2M", Run: func() (*Outcome, error) {
-				return RunPageMode(spec, sc, true)
+				return pageMode(spec, true)
 			}},
 			{Label: "table1/" + spec.Name + "/4K", Run: func() (*Outcome, error) {
-				return RunPageMode(spec, sc, false)
+				return pageMode(spec, false)
 			}},
 		}
 	}

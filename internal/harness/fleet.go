@@ -39,7 +39,7 @@ type FleetTenant struct {
 	DepartNs int64
 	// SeedDelta offsets this tenant's app seed from Scale.Seed so tenants
 	// draw independent streams. Tenant 0 defaults to 0 — its app and
-	// engine then seed exactly as RunComposed would, which is what the
+	// engine then seed exactly as a solo composed Run would, which is what the
 	// degenerate-fleet differential test pins — and tenant i>0 defaults
 	// to i spaced by a large odd constant.
 	SeedDelta uint64
@@ -152,7 +152,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 
 	// Machine: tenant 0's solo sizing (TLB/LLC reach depend only on the
 	// scale) widened by every further tenant's memory, so a one-tenant
-	// fleet gets exactly the RunComposed machine.
+	// fleet gets exactly the solo Run machine.
 	cfg := sc.MachineConfig(tens[0].Spec, true)
 	for _, t := range tens[1:] {
 		extra := sc.MachineConfig(t.Spec, true)
@@ -169,8 +169,8 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Note: no EnablePageCounts here — the solo RunComposedWith runs the
-	// differential tests compare against attach a bare Recorder, and the
+	// Note: no EnablePageCounts here — the solo composed Run the
+	// differential tests compare against attaches a bare Recorder, and the
 	// confusion-matrix columns must agree (absent) for byte-identity.
 	var col *telemetry.Collector
 	if opt.Telemetry != nil {
@@ -203,7 +203,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+t.SeedDelta+0x7e)
+		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+t.SeedDelta+EngineSeedDelta)
 		if err != nil {
 			return nil, err
 		}

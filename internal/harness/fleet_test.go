@@ -14,7 +14,7 @@ import (
 
 // TestFleetSingleTenantMatchesRunComposed is the fleet layer's differential
 // anchor: one tenant holding the full DRAM pool with no churn must replay
-// the solo RunComposed run exactly — identical engine counters, identical
+// the solo composed Run exactly — identical engine counters, identical
 // RunResult, byte-identical trace and metrics exports. The arbiter runs
 // every period but, with nothing to redistribute, must leave no trace.
 func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
@@ -26,8 +26,9 @@ func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
 	sc := matrixScale()
 
 	soloCol := telemetry.NewCollector()
-	solo, err := RunComposedWith(spec, sc, "poison", "threshold", 3,
-		func(cfg *sim.Config) { cfg.Recorder = soloCol })
+	solo, err := Run(RunSpec{Spec: spec, Scale: sc,
+		PolicyName: "threshold", Tracker: "poison", SlowdownPct: 3,
+		ConfigHook: func(cfg *sim.Config) { cfg.Recorder = soloCol }})
 	if err != nil {
 		t.Fatal(err)
 	}

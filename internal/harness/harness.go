@@ -19,6 +19,7 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/mem"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -97,6 +98,30 @@ func Tiny() Scale {
 		Name: "tiny", Div: 256, TimeDilate: 8,
 		PeriodNs: 400e6, DurationNs: 8e9, WarmupNs: 2e9, Seed: 1,
 	}
+}
+
+// ScaleByName returns the named profile (tiny, bench or repro). A positive
+// durationS overrides its run length in simulated seconds; the warm-up
+// shrinks to a fifth of the run when it would no longer fit.
+func ScaleByName(name string, durationS float64) (Scale, error) {
+	var sc Scale
+	switch name {
+	case "tiny":
+		sc = Tiny()
+	case "bench":
+		sc = Bench()
+	case "repro":
+		sc = Repro()
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", name)
+	}
+	if durationS > 0 {
+		sc.DurationNs = int64(durationS * 1e9)
+		if sc.WarmupNs >= sc.DurationNs {
+			sc.WarmupNs = sc.DurationNs / 5
+		}
+	}
+	return sc, nil
 }
 
 // PaperRate converts a measured rate (per second of dilated time) back to
@@ -197,173 +222,148 @@ type Outcome struct {
 	Faults chaos.Report
 }
 
+// EngineSeedDelta offsets every engine's RNG seed from its workload seed,
+// so the engine's sampling stream never coincides with the workload's.
+const EngineSeedDelta = 0x7e
+
+// RunSpec describes one single-machine run: the workload and scale, the
+// memory hierarchy, the placement arm, and the hooks that instrument or
+// perturb it. Run and Assemble are the one place such a run is built.
+type RunSpec struct {
+	Spec  workload.Spec
+	Scale Scale
+	// Tiers, when non-empty, runs on this device hierarchy (at least two
+	// tiers, sized by TieredMachineConfig) instead of the paper's two-tier
+	// machine. The engine's demote/promote mechanics are tier-relative, so
+	// only the machine changes.
+	Tiers []mem.Spec
+	// PolicyName selects the arm: "thermostat" (the paper's engine),
+	// "all-dram" (nothing ever leaves fast memory), or a placement policy
+	// from core.PolicyNames composed with Tracker (default "poison").
+	// SlowdownPct is the engine arms' tolerable-slowdown target.
+	PolicyName  string
+	Tracker     string
+	SlowdownPct float64
+	// Policy, when non-nil, replaces the named arm with an explicit policy
+	// (idle-demote, static placements, measurement-only scanners).
+	Policy sim.Policy
+	// ConfigHook mutates the machine config before the machine is built
+	// (telemetry recorder, chaos injection, ablation knobs).
+	ConfigHook func(*sim.Config)
+	// EngineHook runs on a named engine arm after composition and before
+	// the run (group retuning, ablation switches, the live census).
+	EngineHook func(*cgroup.Group, *core.Engine)
+	// TickHook runs after every policy tick (see sim.RunConfig.TickHook).
+	TickHook func(nowNs int64) error
+}
+
+// Assembly is a RunSpec built and ready to run. Callers that need the
+// machine before the run starts (ground-truth page counts, guest page
+// sizes) or the live engine and group during it (the daemon) hold one;
+// everyone else calls Run.
+type Assembly struct {
+	RunSpec
+	Machine *sim.Machine
+	App     *workload.App
+	// Group and Engine are nil unless the arm is a named engine.
+	Group  *cgroup.Group
+	Engine *core.Engine
+	policy sim.Policy
+}
+
+// Run assembles and runs rs.
+func Run(rs RunSpec) (*Outcome, error) {
+	a, err := rs.Assemble()
+	if err != nil {
+		return nil, err
+	}
+	return a.Run()
+}
+
 // RunThermostat runs spec under Thermostat at the given slowdown target.
 func RunThermostat(spec workload.Spec, sc Scale, slowdownPct float64) (*Outcome, error) {
-	return RunThermostatWith(spec, sc, slowdownPct, nil, nil)
-}
-
-// RunThermostatWith is RunThermostat with hooks to mutate the machine
-// config and group parameters before the run — the ablation entry point.
-func RunThermostatWith(spec workload.Spec, sc Scale, slowdownPct float64,
-	cfgMutate func(*sim.Config), engMutate func(*cgroup.Group, *core.Engine)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.MachineConfig(spec, true)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng := core.NewEngine(g, sc.Seed+0x7e)
-	sc.applyEngineScale(eng)
-	if engMutate != nil {
-		engMutate(g, eng)
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under thermostat: %w", spec.Name, err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Faults: eng.FaultReport()}, nil
-}
-
-// RunComposed runs spec under an arbitrary tracker × policy composition
-// (see core.TrackerNames / core.PolicyNames) at the given slowdown target.
-func RunComposed(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64) (*Outcome, error) {
-	return RunComposedWith(spec, sc, tracker, policy, slowdownPct, nil)
-}
-
-// RunComposedWith is RunComposed with a machine-config hook.
-func RunComposedWith(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64,
-	cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return RunComposedHooked(spec, sc, tracker, policy, slowdownPct, cfgMutate, nil)
-}
-
-// RunComposedHooked is RunComposedWith with an additional engine hook,
-// called after composition and before the run (e.g. to enable the
-// observability census).
-func RunComposedHooked(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64,
-	cfgMutate func(*sim.Config), engMutate func(*cgroup.Group, *core.Engine)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.MachineConfig(spec, true)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ComposeByName(g, tracker, policy, sc.Seed+0x7e)
-	if err != nil {
-		return nil, err
-	}
-	sc.applyEngineScale(eng)
-	if engMutate != nil {
-		engMutate(g, eng)
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s: %w", spec.Name, eng.Name(), err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Faults: eng.FaultReport()}, nil
+	return Run(RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: slowdownPct})
 }
 
 // RunBaseline runs spec with everything in fast memory (all-DRAM).
 func RunBaseline(spec workload.Spec, sc Scale) (*Outcome, error) {
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true, nil)
+	return Run(RunSpec{Spec: spec, Scale: sc, PolicyName: "all-dram"})
 }
 
-// RunBaselineWith is RunBaseline with a hook to mutate the machine config
-// first (e.g. to attach a telemetry recorder).
-func RunBaselineWith(spec workload.Spec, sc Scale, cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true, cfgMutate)
-}
-
-// RunPolicy runs spec under an arbitrary policy (e.g. core.IdleDemote).
-func RunPolicy(spec workload.Spec, sc Scale, pol sim.Policy) (*Outcome, error) {
-	return runWithPolicy(spec, sc, pol, true, nil)
-}
-
-// RunPolicyWith is RunPolicy with a machine-config hook.
-func RunPolicyWith(spec workload.Spec, sc Scale, pol sim.Policy, cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return runWithPolicy(spec, sc, pol, true, cfgMutate)
-}
-
-func runWithPolicy(spec workload.Spec, sc Scale, pol sim.Policy, hugeHost bool, cfgMutate func(*sim.Config)) (*Outcome, error) {
+// Assemble builds the machine, app, and policy rs describes, in the fixed
+// order every run shares (machine, app, group, engine), so equal specs
+// replay bit-identically.
+func (rs RunSpec) Assemble() (*Assembly, error) {
+	sc := rs.Scale
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := sc.MachineConfig(spec, hugeHost)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
+	var cfg sim.Config
+	if len(rs.Tiers) > 0 {
+		if len(rs.Tiers) < 2 {
+			return nil, fmt.Errorf("harness: N-tier run needs at least two tiers, got %d", len(rs.Tiers))
+		}
+		cfg = sc.TieredMachineConfig(rs.Spec, rs.Tiers)
+	} else {
+		cfg = sc.MachineConfig(rs.Spec, true)
+	}
+	if rs.ConfigHook != nil {
+		rs.ConfigHook(&cfg)
 	}
 	m, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	app, err := sc.NewApp(spec, sc.Seed)
+	app, err := sc.NewApp(rs.Spec, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(m, app, pol, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s: %w", spec.Name, pol.Name(), err)
+	a := &Assembly{RunSpec: rs, Machine: m, App: app, policy: rs.Policy}
+	switch {
+	case a.policy != nil:
+		return a, nil
+	case rs.PolicyName == "all-dram":
+		a.policy = sim.NullPolicy{Interval: sc.PeriodNs}
+		return a, nil
 	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app,
-		Result: res, Faults: m.FaultReport()}, nil
+	g, err := sc.Group(rs.SlowdownPct)
+	if err != nil {
+		return nil, err
+	}
+	var eng *core.Engine
+	if rs.PolicyName == "thermostat" {
+		eng = core.NewEngine(g, sc.Seed+EngineSeedDelta)
+	} else {
+		tracker := rs.Tracker
+		if tracker == "" {
+			tracker = "poison"
+		}
+		if eng, err = core.ComposeByName(g, tracker, rs.PolicyName, sc.Seed+EngineSeedDelta); err != nil {
+			return nil, err
+		}
+	}
+	sc.applyEngineScale(eng)
+	if rs.EngineHook != nil {
+		rs.EngineHook(g, eng)
+	}
+	a.Group, a.Engine, a.policy = g, eng, eng
+	return a, nil
 }
 
-// RunPageMode runs spec with no placement policy and the given page-size
-// configuration at both guest and host — the Table 1 comparison arms.
-func RunPageMode(spec workload.Spec, sc Scale, huge bool) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := sim.New(sc.MachineConfig(spec, huge))
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if !huge {
-		app.DisableHugePages()
-	}
-	res, err := sim.Run(m, app, sim.NullPolicy{Interval: sc.PeriodNs}, sim.RunConfig{
+// Run executes the assembled run over the scale's schedule.
+func (a *Assembly) Run() (*Outcome, error) {
+	sc := a.Scale
+	res, err := sim.Run(a.Machine, a.App, a.policy, sim.RunConfig{
 		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
+		TickHook: a.TickHook,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s page-mode: %w", spec.Name, err)
+		return nil, fmt.Errorf("harness: %s under %s: %w", a.Spec.Name, a.policy.Name(), err)
 	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app,
-		Result: res, Faults: m.FaultReport()}, nil
+	out := &Outcome{Spec: a.Spec, Scale: sc, Machine: a.Machine, App: a.App,
+		Engine: a.Engine, Result: res, Faults: a.Machine.FaultReport()}
+	if a.Engine != nil {
+		out.Faults = a.Engine.FaultReport()
+	}
+	return out, nil
 }

@@ -113,55 +113,20 @@ type MatrixReport struct {
 // enabled so the confusion matrix is available.
 func RunMatrixCell(spec workload.Spec, sc Scale, topo MatrixTopology,
 	tracker, policy string, slowdownPct float64) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var cfg sim.Config
-	if topo.Tiers == nil {
-		cfg = sc.MachineConfig(spec, true)
-	} else {
-		cfg = sc.TieredMachineConfig(spec, topo.Tiers)
-	}
 	col := telemetry.NewCollector()
-	cfg.Recorder = col
-	m, err := sim.New(cfg)
+	a, err := RunSpec{Spec: spec, Scale: sc, Tiers: topo.Tiers,
+		PolicyName: policy, Tracker: tracker, SlowdownPct: slowdownPct,
+		ConfigHook: func(cfg *sim.Config) { cfg.Recorder = col }}.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	m.EnablePageCounts()
-	app, err := sc.NewApp(spec, sc.Seed)
+	a.Machine.EnablePageCounts()
+	out, err := a.Run()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w (topology %s)", err, topo.Name)
 	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ComposeByName(g, tracker, policy, sc.Seed+0x7e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s on %s: %w",
-			spec.Name, eng.Name(), topo.Name, err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Telemetry: col, Faults: eng.FaultReport()}, nil
-}
-
-// matrixBaseline runs the all-top-tier baseline for one app × topology.
-func matrixBaseline(spec workload.Spec, sc Scale, topo MatrixTopology) (*Outcome, error) {
-	if topo.Tiers == nil {
-		return RunBaseline(spec, sc)
-	}
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true,
-		func(cfg *sim.Config) {
-			tiered := sc.TieredMachineConfig(spec, topo.Tiers)
-			*cfg = tiered
-		})
+	out.Telemetry = col
+	return out, nil
 }
 
 // confusionAccuracy folds the post-warmup confusion-matrix epochs into one
@@ -227,7 +192,8 @@ func PolicyMatrix(opt MatrixOptions) (*MatrixReport, error) {
 			baseTasks = append(baseTasks, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("matrix/%s/%s/baseline", spec.Name, topo.Name),
 				Run: func() (*Outcome, error) {
-					return matrixBaseline(spec, opt.Scale, topo)
+					return Run(RunSpec{Spec: spec, Scale: opt.Scale, Tiers: topo.Tiers,
+						PolicyName: "all-dram"})
 				},
 			})
 		}

@@ -31,14 +31,12 @@ func TestComposedThermostatMatchesSeedEngine(t *testing.T) {
 
 	run := func(composed bool) (*Outcome, *telemetry.Collector) {
 		col := telemetry.NewCollector()
-		attach := func(cfg *sim.Config) { cfg.Recorder = col }
-		var out *Outcome
-		var err error
+		rs := RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+			ConfigHook: func(cfg *sim.Config) { cfg.Recorder = col }}
 		if composed {
-			out, err = RunComposedWith(spec, sc, "poison", "threshold", 3, attach)
-		} else {
-			out, err = RunThermostatWith(spec, sc, 3, attach, nil)
+			rs.PolicyName, rs.Tracker = "threshold", "poison"
 		}
+		out, err := Run(rs)
 		if err != nil {
 			t.Fatal(err)
 		}

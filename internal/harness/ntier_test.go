@@ -2,8 +2,10 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"thermostat/internal/mem"
 	"thermostat/internal/workload"
 )
 
@@ -13,7 +15,8 @@ func TestRunNTierThreeTierEndToEnd(t *testing.T) {
 	}
 	t.Parallel()
 	sc := Tiny()
-	out, err := RunNTier(workload.Redis(), sc, DefaultThreeTier(0), 3)
+	out, err := Run(RunSpec{Spec: workload.Redis(), Scale: sc, Tiers: DefaultThreeTier(0),
+		PolicyName: "thermostat", SlowdownPct: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,64 @@ func TestTieredMachineConfigDilation(t *testing.T) {
 	if cfg.Mode.String() != "device" {
 		t.Errorf("mode = %v, want device", cfg.Mode)
 	}
-	if _, err := RunNTier(workload.Redis(), sc, DefaultThreeTier(0)[:1], 3); err == nil {
+	if _, err := Run(RunSpec{Spec: workload.Redis(), Scale: sc, Tiers: DefaultThreeTier(0)[:1],
+		PolicyName: "thermostat", SlowdownPct: 3}); err == nil {
 		t.Error("single-tier hierarchy accepted")
+	}
+}
+
+// TestNTierReportKeepsTierNames pins that tier names belong to each run's
+// hierarchy: building a default two-tier system while a three-tier run is
+// live must not relabel the three-tier report's cxl and nvm tiers. It runs
+// in the short tier too, because the relabeling only showed when other
+// tests built machines concurrently.
+func TestNTierReportKeepsTierNames(t *testing.T) {
+	t.Parallel()
+	sc := Tiny()
+	sc.DurationNs, sc.WarmupNs = 1e9, 2e8
+	a, err := RunSpec{Spec: workload.Redis(), Scale: sc, Tiers: DefaultThreeTier(0),
+		PolicyName: "thermostat", SlowdownPct: 3}.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Move one huge page down both hops, so the traffic matrix has a
+	// fast -> cxl row and a cxl -> nvm row whatever the short run does.
+	r, err := a.Machine.AllocRegion(2<<20, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hop := 0; hop < 2; hop++ {
+		if _, err := a.Machine.Demote(r.Start); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mem.NewSystem(mem.DefaultDRAM(2<<20), mem.DefaultSlow(2<<20))
+	}()
+	wg.Wait()
+
+	out, err := a.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AnalyzeNTier(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := rep.TrafficTable().String()
+	for _, want := range []string{"fast", "cxl", "nvm"} {
+		if !strings.Contains(traffic, want) {
+			t.Errorf("traffic table lost tier name %q:\n%s", want, traffic)
+		}
+	}
+	cost := rep.CostTable().String()
+	for _, want := range []string{"cxl", "nvm"} {
+		if !strings.Contains(cost, want) {
+			t.Errorf("cost table lost tier name %q:\n%s", want, cost)
+		}
 	}
 }

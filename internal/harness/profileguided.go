@@ -60,31 +60,24 @@ func (p *staticPlacement) Footprint(m *sim.Machine) sim.Footprint {
 // workloads whose behaviour changes (growth, hot-set drift) expose the
 // approach's weakness — no representative profile, no adaptation.
 func RunProfileGuided(spec workload.Spec, sc Scale, slowdownPct float64) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	// Profiling run.
-	mp, err := sim.New(sc.MachineConfig(spec, true))
+	// Profiling run: all-DRAM over the first third, no warm-up.
+	prof := sc
+	prof.DurationNs /= 3
+	prof.WarmupNs = 0
+	pa, err := RunSpec{Spec: spec, Scale: prof, PolicyName: "all-dram"}.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	mp.EnablePageCounts()
-	appP, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	profDur := sc.DurationNs / 3
-	if _, err := sim.Run(mp, appP, sim.NullPolicy{Interval: sc.PeriodNs}, sim.RunConfig{
-		DurationNs: profDur, WindowNs: sc.PeriodNs,
-	}); err != nil {
+	pa.Machine.EnablePageCounts()
+	if _, err := pa.Run(); err != nil {
 		return nil, fmt.Errorf("harness: profiling run: %w", err)
 	}
-	counts := mp.PageCounts()
-	profSec := float64(profDur) / 1e9
+	counts := pa.Machine.PageCounts()
+	profSec := float64(prof.DurationNs) / 1e9
 
 	// Build per-huge-page estimates over everything mapped at profile end.
 	var ests []core.Estimate
-	for _, reg := range appP.Regions() {
+	for _, reg := range pa.App.Regions() {
 		reg.Each2M(func(base addr.Virt) {
 			ests = append(ests, core.Estimate{
 				Base: base,
@@ -99,22 +92,8 @@ func RunProfileGuided(spec workload.Spec, sc Scale, slowdownPct float64) (*Outco
 	plan := core.SelectColdSet(ests, g.Params().TargetSlowAccessRate())
 
 	// Production run with static placement.
-	m, err := sim.New(sc.MachineConfig(spec, true))
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pol := &staticPlacement{interval: sc.PeriodNs, plan: plan}
-	res, err := sim.Run(m, app, pol, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: profile-guided run: %w", err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Result: res}, nil
+	return Run(RunSpec{Spec: spec, Scale: sc,
+		Policy: &staticPlacement{interval: sc.PeriodNs, plan: plan}})
 }
 
 // BaselineRow is one policy's outcome in the baseline comparison.
@@ -143,9 +122,9 @@ func CompareBaselines(spec workload.Spec, opt Options) ([]BaselineRow, *report.T
 		// The paper's naive baseline: place whatever looked idle, with no
 		// correction mechanism and no way to bound the resulting slowdown.
 		{Label: "baselines/" + spec.Name + "/idle-demote", Run: func() (*Outcome, error) {
-			return RunPolicy(spec, sc, &core.IdleDemote{
+			return Run(RunSpec{Spec: spec, Scale: sc, Policy: &core.IdleDemote{
 				Interval: sc.PeriodNs, IdleScans: 4, NoPromote: true,
-			})
+			}})
 		}},
 		{Label: "baselines/" + spec.Name + "/thermostat", Run: func() (*Outcome, error) {
 			return RunThermostat(spec, sc, opt.SlowdownPct)

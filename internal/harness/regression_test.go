@@ -104,7 +104,8 @@ func TestTwoTierGoldenRegression(t *testing.T) {
 // the two-tier configuration.
 func TestThreeTierGoldenRegression(t *testing.T) {
 	t.Parallel()
-	out, err := RunNTier(workload.Redis(), Tiny(), DefaultThreeTier(0), 3)
+	out, err := Run(RunSpec{Spec: workload.Redis(), Scale: Tiny(), Tiers: DefaultThreeTier(0),
+		PolicyName: "thermostat", SlowdownPct: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

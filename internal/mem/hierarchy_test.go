@@ -92,21 +92,29 @@ func TestTierOfBounds(t *testing.T) {
 }
 
 func TestTierNames(t *testing.T) {
-	// The registry is seeded with the paper's two tiers.
+	// TierID renders by position only: the paper's two tiers, then "tierN".
 	if Fast.String() != "fast" || Slow.String() != "slow" {
-		t.Fatalf("seed names = %q/%q", Fast.String(), Slow.String())
+		t.Fatalf("positional names = %q/%q", Fast.String(), Slow.String())
 	}
-	// Building a named hierarchy registers deeper tier names so TierID
-	// renders them instead of the positional fallback.
-	if _, err := NewHierarchy(DefaultDRAM(2<<20), DefaultCXL(2<<20), DefaultNVM(2<<20)); err != nil {
+	// Device-class names belong to the hierarchy that was built with them;
+	// building one never changes how a bare TierID renders.
+	s3, err := NewHierarchy(DefaultDRAM(2<<20), DefaultCXL(2<<20), DefaultNVM(2<<20))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := TierID(2).String(); got != "nvm" {
-		t.Errorf("TierID(2).String() = %q, want %q", got, "nvm")
+	if got := s3.Tier(2).Name(); got != "nvm" {
+		t.Errorf("tier 2 Name() = %q, want %q", got, "nvm")
 	}
-	// Tiers no hierarchy has named render positionally.
+	if got := TierID(2).String(); got != "tier2" {
+		t.Errorf("TierID(2).String() = %q after building a named hierarchy, want %q", got, "tier2")
+	}
 	if got := TierID(7).String(); got != "tier7" {
 		t.Errorf("TierID(7).String() = %q, want %q", got, "tier7")
+	}
+	// A later two-tier system does not relabel the three-tier one.
+	NewSystem(DefaultDRAM(2<<20), DefaultSlow(2<<20))
+	if got := s3.Tier(1).Name(); got != "cxl" {
+		t.Errorf("tier 1 Name() = %q after building a two-tier system, want %q", got, "cxl")
 	}
 	// An unnamed spec keeps the tier's positional name.
 	s, err := NewHierarchy(Spec{Capacity: 2 << 20})
@@ -114,7 +122,7 @@ func TestTierNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Tier(0).Name(); got != "fast" {
-		t.Errorf("unnamed tier 0 Name() = %q, want registry name %q", got, "fast")
+		t.Errorf("unnamed tier 0 Name() = %q, want positional name %q", got, "fast")
 	}
 }
 

@@ -156,7 +156,7 @@ func (m *Migrator) MoveHuge(v addr.Virt, dst mem.TierID, vpid tlb.VPID, kind mem
 	}
 	src := m.sys.TierOf(e.Frame)
 	if src == dst {
-		return 0, fmt.Errorf("numa: %s already in %s tier", hv, dst)
+		return 0, fmt.Errorf("numa: %s already in %s tier", hv, m.sys.Tier(dst).Name())
 	}
 	var now int64
 	if m.inj != nil {
@@ -267,7 +267,7 @@ func (m *Migrator) Move4K(v addr.Virt, dst mem.TierID, vpid tlb.VPID, kind mem.T
 	}
 	src := m.sys.TierOf(e.Frame)
 	if src == dst {
-		return 0, fmt.Errorf("numa: %s already in %s tier", pv, dst)
+		return 0, fmt.Errorf("numa: %s already in %s tier", pv, m.sys.Tier(dst).Name())
 	}
 	var now int64
 	if m.inj != nil {

@@ -99,8 +99,8 @@ func TestServeScrapeMidRun(t *testing.T) {
 
 	// Control: the same seeded run with a bare collector, no publisher.
 	ctrlCol := telemetry.NewCollectorWith(bounds)
-	if _, err := harness.RunThermostatWith(spec, sc, 3,
-		func(cfg *sim.Config) { cfg.Recorder = ctrlCol }, nil); err != nil {
+	if _, err := harness.Run(harness.RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+		ConfigHook: func(cfg *sim.Config) { cfg.Recorder = ctrlCol }}); err != nil {
 		t.Fatal(err)
 	}
 	wantTrace, wantJSONL := exports(t, ctrlCol)
@@ -177,12 +177,12 @@ func TestServeScrapeMidRun(t *testing.T) {
 			}
 		},
 	}
-	_, err := harness.RunThermostatWith(spec, sc, 3,
-		func(cfg *sim.Config) { cfg.Recorder = hook },
-		func(_ *cgroup.Group, eng *core.Engine) {
+	_, err := harness.Run(harness.RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+		ConfigHook: func(cfg *sim.Config) { cfg.Recorder = hook },
+		EngineHook: func(_ *cgroup.Group, eng *core.Engine) {
 			eng.EnablePublish()
 			pub.AttachEngine("redis/thermostat", eng)
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,12 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		Policy: "threshold", Scale: sc.Name, Seed: sc.Seed, Workers: 1})
 	pub.SetPhase(obsv.PhaseRunning)
 	col := telemetry.NewCollectorWith(telemetry.Config{MaxEvents: 512})
-	_, err := harness.RunThermostatWith(spec, sc, 3,
-		func(cfg *sim.Config) { cfg.Recorder = pub.Recorder("redis/thermostat", col) },
-		func(_ *cgroup.Group, eng *core.Engine) {
+	_, err := harness.Run(harness.RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3,
+		ConfigHook: func(cfg *sim.Config) { cfg.Recorder = pub.Recorder("redis/thermostat", col) },
+		EngineHook: func(_ *cgroup.Group, eng *core.Engine) {
 			eng.EnablePublish()
 			pub.AttachEngine("redis/thermostat", eng)
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}

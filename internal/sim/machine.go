@@ -530,7 +530,7 @@ func (m *Machine) Demote(v addr.Virt) (int64, error) {
 		return 0, err
 	}
 	if src >= m.sys.Bottom() {
-		return 0, fmt.Errorf("sim: %s already in the bottom (%s) tier", v.Base2M(), src)
+		return 0, fmt.Errorf("sim: %s already in the bottom (%s) tier", v.Base2M(), m.sys.Tier(src).Name())
 	}
 	// Whether monitoring must be armed is decided up front so an injected
 	// poison failure strikes before any state changes (the demotion is then
@@ -569,7 +569,7 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 		return 0, err
 	}
 	if src == mem.Fast {
-		return 0, fmt.Errorf("sim: %s already in the top (%s) tier", base, mem.Fast)
+		return 0, fmt.Errorf("sim: %s already in the top (%s) tier", base, m.sys.Tier(mem.Fast).Name())
 	}
 	armed := m.trap.IsPoisoned(base)
 	if m.chaos != nil {

@@ -110,10 +110,10 @@ func (m *Machine) Verify() error {
 		}
 	}
 	for tier, mapped := range mappedByTier {
-		used := m.sys.Tier(tier).Used()
-		if mapped > used {
+		t := m.sys.Tier(tier)
+		if used := t.Used(); mapped > used {
 			return fmt.Errorf("sim: %s tier maps %d bytes but allocator charged only %d",
-				tier, mapped, used)
+				t.Name(), mapped, used)
 		}
 	}
 	return nil

@@ -104,13 +104,20 @@ go test -count=1 -run 'TestServeScrapeMidRun|TestMetricsGoldenScrape|TestTeeForw
 ./scripts/obsv_gate.sh
 
 echo "== daemon gate"
-# Supervised lifecycle: reload-vs-cold-start and checkpoint/restore
-# differentials at test level, then thermostatd against real processes and
+# Supervised lifecycle: reload-vs-cold-start, checkpoint/restore and
+# daemon-vs-harness.Run differentials at test level, then thermostatd against real processes and
 # signals — SIGHUP reload mid-run, /status walking the degradation ladder
 # under forced chaos, SIGTERM exit 0, kill -9 + restart restoring exports
 # byte-identical to an uninterrupted run (see scripts/daemon_gate.sh).
-go test -count=1 -run 'TestReloadVsColdStart|TestCheckpointRestoreBitIdentity|TestQuarantineOnlyUnderChaos|TestHaltLadder' \
+go test -count=1 -run 'TestReloadVsColdStart|TestCheckpointRestoreBitIdentity|TestQuarantineOnlyUnderChaos|TestHaltLadder|TestDaemonMatchesHarnessRun' \
 	./internal/daemon
 ./scripts/daemon_gate.sh
+
+echo "== benchmark smoke"
+# perfbench (its own module) must build against the tree, and one short
+# redis-tiny run must match its pinned per-op digest.
+bash perfbench/run.sh --workload redis-tiny --seed 1 --seconds 1 >"$tracedir/perfbench.json"
+grep -q '"correct":true' "$tracedir/perfbench.json"
+echo "benchmark: builds and matches its pinned digest"
 
 echo "check: OK"
