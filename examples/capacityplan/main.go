@@ -33,7 +33,7 @@ func main() {
 		}
 		slow := baselineThroughput/res.Throughput - 1
 		fmt.Printf("%5.0f%%  %7.2f%%  %5.1f%%", target, slow*100, cold*100)
-		for _, ratio := range pricing.PaperRatios {
+		for _, ratio := range pricing.PaperRatios() {
 			s, err := pricing.Savings(cold, ratio)
 			if err != nil {
 				log.Fatal(err)

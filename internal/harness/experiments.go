@@ -547,7 +547,7 @@ type Fig11Row struct {
 }
 
 // fig11Targets are the tolerable-slowdown points the sweep visits.
-var fig11Targets = []float64{3, 6, 10}
+func fig11Targets() [3]float64 { return [3]float64{3, 6, 10} }
 
 // Fig11 sweeps the tolerable-slowdown knob over {3, 6, 10}%. Every cell of
 // the app × target grid (plus each app's all-DRAM reference) is an
@@ -563,7 +563,7 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 				return RunBaseline(spec, opt.Scale)
 			}},
 		}
-		for _, pct := range fig11Targets {
+		for _, pct := range fig11Targets() {
 			pct := pct
 			row = append(row, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("fig11/%s/%g%%", spec.Name, pct),
@@ -580,7 +580,7 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for i, spec := range opt.Apps {
 		base := outs[i][0]
-		for j, pct := range fig11Targets {
+		for j, pct := range fig11Targets() {
 			th := outs[i][j+1]
 			rows = append(rows, Fig11Row{
 				App:          spec.Name,
@@ -668,7 +668,7 @@ func Table4(runs map[string]*AppRun, opt Options) ([]Table4Row, error) {
 			continue
 		}
 		row := Table4Row{App: spec.Name}
-		for i, ratio := range pricing.PaperRatios {
+		for i, ratio := range pricing.PaperRatios() {
 			s, err := pricing.Savings(run.ColdFraction, ratio)
 			if err != nil {
 				return nil, err

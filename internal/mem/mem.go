@@ -148,23 +148,20 @@ func DefaultNVM(capacity uint64) Spec {
 	}
 }
 
-// presets maps device-class names to their Spec constructors.
-var presets = map[string]func(uint64) Spec{
-	"fast": DefaultDRAM,
-	"dram": DefaultDRAM,
-	"slow": DefaultSlow,
-	"cxl":  DefaultCXL,
-	"nvm":  DefaultNVM,
-}
-
 // Preset resolves a named device preset ("dram", "fast", "cxl", "nvm",
 // "slow") at the given capacity.
 func Preset(name string, capacity uint64) (Spec, bool) {
-	f, ok := presets[name]
-	if !ok {
-		return Spec{}, false
+	switch name {
+	case "dram", "fast":
+		return DefaultDRAM(capacity), true
+	case "cxl":
+		return DefaultCXL(capacity), true
+	case "nvm":
+		return DefaultNVM(capacity), true
+	case "slow":
+		return DefaultSlow(capacity), true
 	}
-	return f(capacity), true
+	return Spec{}, false
 }
 
 // PresetNames lists the device classes Preset resolves.

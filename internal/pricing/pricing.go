@@ -6,8 +6,8 @@ package pricing
 
 import "fmt"
 
-// PaperRatios are the slow:DRAM cost points Table 4 evaluates.
-var PaperRatios = []float64{1.0 / 3, 1.0 / 4, 1.0 / 5}
+// PaperRatios returns the slow:DRAM cost points Table 4 evaluates.
+func PaperRatios() [3]float64 { return [3]float64{1.0 / 3, 1.0 / 4, 1.0 / 5} }
 
 // Savings returns the fraction of memory spending saved when coldFrac of
 // the footprint is placed in slow memory costing costRatio of DRAM per GB.

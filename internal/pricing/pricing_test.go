@@ -46,11 +46,12 @@ func TestSavingsBounds(t *testing.T) {
 }
 
 func TestPaperRatios(t *testing.T) {
-	if len(PaperRatios) != 3 {
+	r := PaperRatios()
+	if len(r) != 3 {
 		t.Fatal("Table 4 has three cost points")
 	}
-	for i := 1; i < len(PaperRatios); i++ {
-		if PaperRatios[i] >= PaperRatios[i-1] {
+	for i := 1; i < len(r); i++ {
+		if r[i] >= r[i-1] {
 			t.Fatal("ratios should descend (cheaper slow memory)")
 		}
 	}

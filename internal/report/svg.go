@@ -14,9 +14,10 @@ import (
 // regenerated artifacts are directly comparable to the paper's figures.
 // Stdlib-only: hand-assembled SVG markup.
 
-// seriesPalette cycles through distinguishable stroke colors.
-var seriesPalette = []string{
-	"#1f6feb", "#d29922", "#2da44e", "#cf222e", "#8250df", "#6e7781",
+// seriesColor cycles through distinguishable stroke colors.
+func seriesColor(i int) string {
+	palette := [...]string{"#1f6feb", "#d29922", "#2da44e", "#cf222e", "#8250df", "#6e7781"}
+	return palette[i%len(palette)]
 }
 
 // LinePlot describes one figure.
@@ -136,7 +137,7 @@ func (p *LinePlot) WriteSVG(w io.Writer) error {
 		base = make([]float64, n)
 	}
 	for si, s := range p.Series {
-		color := seriesPalette[si%len(seriesPalette)]
+		color := seriesColor(si)
 		step := 1
 		if s.Len() > maxPointsPerSeriesGoal {
 			step = s.Len() / maxPointsPerSeriesGoal
@@ -280,7 +281,7 @@ func (p *BarPlot) WriteSVG(w io.Writer) error {
 			if li >= len(g) {
 				continue
 			}
-			color := seriesPalette[gi%len(seriesPalette)]
+			color := seriesColor(gi)
 			x := x0 + barW*float64(gi)
 			y := yPix(g[li])
 			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
@@ -290,7 +291,7 @@ func (p *BarPlot) WriteSVG(w io.Writer) error {
 			x0+slot*0.35, plotH-marginB+16, escapeXML(shorten(label, 14)))
 	}
 	for gi, name := range p.GroupNames {
-		color := seriesPalette[gi%len(seriesPalette)]
+		color := seriesColor(gi)
 		lx := plotW - marginR - 150
 		ly := marginT + 16 + 16*gi
 		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="12" height="12" fill="%s"/>`+"\n", lx, ly-10, color)

@@ -40,12 +40,21 @@ func laneOf(k Kind) int {
 	}
 }
 
-var laneNames = map[int]string{
-	laneEpochs:    "epochs",
-	laneSampling:  "sampling",
-	lanePlacement: "placement",
-	laneFaults:    "faults",
-	laneDaemons:   "daemons",
+// laneName is the thread name a lane's metadata event carries.
+func laneName(tid int) string {
+	switch tid {
+	case laneEpochs:
+		return "epochs"
+	case laneSampling:
+		return "sampling"
+	case lanePlacement:
+		return "placement"
+	case laneFaults:
+		return "faults"
+	case laneDaemons:
+		return "daemons"
+	}
+	return ""
 }
 
 // chromeEvent is one trace_event object. Field order is fixed by the struct,
@@ -96,7 +105,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	for tid := laneEpochs; tid <= laneDaemons; tid++ {
 		if err := emit(chromeEvent{Name: "thread_name", Phase: "M", Pid: 1, Tid: tid,
-			Args: map[string]any{"name": laneNames[tid]}}); err != nil {
+			Args: map[string]any{"name": laneName(tid)}}); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,8 @@
 package tlb
 
 import (
+	"math/bits"
+
 	"thermostat/internal/addr"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/stats"
@@ -22,117 +24,184 @@ type VPID uint16
 // HostVPID is the host's VPID.
 const HostVPID VPID = 0
 
-// key identifies a cached translation.
-type key struct {
-	vpn  uint64
-	lvl  pagetable.Level
-	vpid VPID
+// pack returns the page of v at grain lvl as vl = vpn<<1 | is2M, which with
+// the VPID keys a cached translation. A 4KB VPN is at most 52 bits, so the
+// pack fits a uint64.
+func pack(v addr.Virt, lvl pagetable.Level) uint64 {
+	if lvl == pagetable.Level2M {
+		return v.PageNum2M()<<1 | 1
+	}
+	return v.PageNum4K() << 1
 }
 
-// entry is a cached translation.
+// unpack returns the base address and grain of a packed page.
+func unpack(vl uint64) (addr.Virt, pagetable.Level) {
+	if vl&1 != 0 {
+		return addr.Virt(vl >> 1 << addr.PageShift2M), pagetable.Level2M
+	}
+	return addr.Virt(vl >> 1 << addr.PageShift4K), pagetable.Level4K
+}
+
+// nilIdx terminates the recency list and the freelist.
+const nilIdx int32 = -1
+
+// entry is a cached translation in the slab.
 type entry struct {
-	key   key
+	vl    uint64
 	frame addr.Phys
 
-	prev, next *entry // LRU list, most-recent at head
+	prev, next int32 // recency list, most-recent at head; next chains the freelist
+	vpid       VPID
 }
 
-// lru is a fixed-capacity LRU map of translations. Evicted and removed
-// entries park on a freelist (chained through next) so a full TLB churns
-// translations without allocating.
+// lru is a fixed-capacity, fully associative LRU of translations held in
+// arrays allocated once: a slab of entries linked into a recency list by
+// index, and an open-addressed index over the slab. The index is a
+// power-of-two table of slab positions plus one (0 is empty), probed linearly
+// from a multiplicative hash and compacted by backward shift on delete, so it
+// needs no tombstones. It has at least four slots per entry: a miss probes
+// both grains at both levels before it fills and evicts, and a load factor of
+// 1/4 rather than 1/2 cut a seeded redis run by a fifth. Removed entries go
+// back on a freelist; nothing allocates after newLRU.
 type lru struct {
-	cap   int
-	items map[key]*entry
-	head  *entry
-	tail  *entry
-	free  *entry
+	ents  []entry
+	index []int32
+	shift uint
+	mask  int
+
+	head, tail int32
+	free       int32
+	n          int
 }
 
 func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, items: make(map[key]*entry, capacity)}
+	k := bits.Len(uint(4*capacity - 1)) // 1<<k is the least power of two >= 4*capacity
+	l := &lru{ents: make([]entry, capacity), index: make([]int32, 1<<k), shift: uint(64 - k), mask: 1<<k - 1}
+	l.clear()
+	return l
 }
 
-func (l *lru) get(k key) (*entry, bool) {
-	e, ok := l.items[k]
-	if ok {
-		l.moveToFront(e)
+// home is the index slot where a probe for (vl, vpid) starts.
+func (l *lru) home(vl uint64, vpid VPID) int {
+	return int((vl ^ uint64(vpid)<<48) * 0x9e3779b97f4a7c15 >> l.shift)
+}
+
+// find returns the index slot holding (vl, vpid) and its slab position, or
+// the empty slot that ends the probe and nilIdx.
+func (l *lru) find(vl uint64, vpid VPID) (int, int32) {
+	for i := l.home(vl, vpid); ; i = (i + 1) & l.mask {
+		s := l.index[i]
+		if s == 0 {
+			return i, nilIdx
+		}
+		if e := &l.ents[s-1]; e.vl == vl && e.vpid == vpid {
+			return i, s - 1
+		}
 	}
-	return e, ok
 }
 
-func (l *lru) put(k key, frame addr.Phys) {
-	if e, ok := l.items[k]; ok {
-		e.frame = frame
+func (l *lru) get(vl uint64, vpid VPID) (addr.Phys, bool) {
+	if h := l.head; h != nilIdx && l.ents[h].vl == vl && l.ents[h].vpid == vpid {
+		return l.ents[h].frame, true
+	}
+	_, e := l.find(vl, vpid)
+	if e == nilIdx {
+		return 0, false
+	}
+	l.moveToFront(e)
+	return l.ents[e].frame, true
+}
+
+func (l *lru) put(vl uint64, vpid VPID, frame addr.Phys) {
+	slot, e := l.find(vl, vpid)
+	if e != nilIdx {
+		l.ents[e].frame = frame
 		l.moveToFront(e)
 		return
 	}
-	if len(l.items) >= l.cap {
-		l.evict()
+	if l.n >= len(l.ents) {
+		l.dropEntry(l.tail)
+		slot, _ = l.find(vl, vpid)
 	}
-	e := l.free
-	if e != nil {
-		l.free = e.next
-		*e = entry{key: k, frame: frame}
-	} else {
-		e = &entry{key: k, frame: frame}
-	}
-	l.items[k] = e
+	e = l.free
+	l.free = l.ents[e].next
+	l.ents[e] = entry{vl: vl, frame: frame, vpid: vpid}
+	l.index[slot] = e + 1
+	l.n++
 	l.pushFront(e)
 }
 
-func (l *lru) remove(k key) bool {
-	e, ok := l.items[k]
-	if !ok {
-		return false
+func (l *lru) remove(vl uint64, vpid VPID) {
+	if slot, e := l.find(vl, vpid); e != nilIdx {
+		l.drop(slot, e)
 	}
+}
+
+// dropEntry removes slab entry e, locating its index slot first.
+func (l *lru) dropEntry(e int32) {
+	i := l.home(l.ents[e].vl, l.ents[e].vpid)
+	for l.index[i] != e+1 {
+		i = (i + 1) & l.mask
+	}
+	l.drop(i, e)
+}
+
+// drop unlinks slab entry e, frees it and empties its index slot.
+func (l *lru) drop(slot int, e int32) {
 	l.unlink(e)
-	delete(l.items, k)
-	l.release(e)
-	return true
-}
-
-func (l *lru) evict() {
-	if l.tail == nil {
-		return
-	}
-	victim := l.tail
-	l.unlink(victim)
-	delete(l.items, victim.key)
-	l.release(victim)
-}
-
-func (l *lru) release(e *entry) {
-	e.next = l.free
+	l.unindex(slot)
+	l.ents[e].next = l.free
 	l.free = e
+	l.n--
 }
 
-func (l *lru) pushFront(e *entry) {
-	e.prev = nil
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
+// unindex empties slot i, then shifts later members of its probe run back
+// so every entry stays reachable from its home slot without a gap.
+func (l *lru) unindex(i int) {
+	for j := (i + 1) & l.mask; ; j = (j + 1) & l.mask {
+		s := l.index[j]
+		if s == 0 {
+			break
+		}
+		e := &l.ents[s-1]
+		// The entry at j may fill the hole at i if i lies on its probe
+		// path: its home is at least as far back from j as i is.
+		if (j-l.home(e.vl, e.vpid))&l.mask >= (j-i)&l.mask {
+			l.index[i] = s
+			i = j
+		}
+	}
+	l.index[i] = 0
+}
+
+func (l *lru) pushFront(e int32) {
+	l.ents[e].prev = nilIdx
+	l.ents[e].next = l.head
+	if l.head != nilIdx {
+		l.ents[l.head].prev = e
 	}
 	l.head = e
-	if l.tail == nil {
+	if l.tail == nilIdx {
 		l.tail = e
 	}
 }
 
-func (l *lru) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (l *lru) unlink(e int32) {
+	p, n := l.ents[e].prev, l.ents[e].next
+	if p != nilIdx {
+		l.ents[p].next = n
 	} else {
-		l.head = e.next
+		l.head = n
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if n != nilIdx {
+		l.ents[n].prev = p
 	} else {
-		l.tail = e.prev
+		l.tail = p
 	}
-	e.prev, e.next = nil, nil
+	l.ents[e].prev, l.ents[e].next = nilIdx, nilIdx
 }
 
-func (l *lru) moveToFront(e *entry) {
+func (l *lru) moveToFront(e int32) {
 	if l.head == e {
 		return
 	}
@@ -140,16 +209,25 @@ func (l *lru) moveToFront(e *entry) {
 	l.pushFront(e)
 }
 
+// clear empties the LRU and puts the whole slab, in order, on the freelist.
 func (l *lru) clear() {
-	l.items = make(map[key]*entry, l.cap)
-	l.head, l.tail = nil, nil
+	clear(l.index)
+	for i := range l.ents {
+		l.ents[i] = entry{prev: nilIdx, next: int32(i + 1)}
+	}
+	l.ents[len(l.ents)-1].next = nilIdx
+	l.head, l.tail, l.free, l.n = nilIdx, nilIdx, 0, 0
 }
 
-func (l *lru) removeIf(pred func(key) bool) {
-	for k := range l.items {
-		if pred(k) {
-			l.remove(k)
+// removeIf drops every entry pred selects, walking the recency list from the
+// head.
+func (l *lru) removeIf(pred func(vl uint64, vpid VPID) bool) {
+	for e := l.head; e != nilIdx; {
+		next := l.ents[e].next
+		if pred(l.ents[e].vl, l.ents[e].vpid) {
+			l.dropEntry(e)
 		}
+		e = next
 	}
 }
 
@@ -209,52 +287,45 @@ type Result struct {
 // vpid. On an L2 hit the entry is promoted to L1.
 func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
 	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
-		k := keyFor(v, lvl, vpid)
-		if e, ok := t.l1.get(k); ok {
+		vl := pack(v, lvl)
+		if frame, ok := t.l1.get(vl, vpid); ok {
 			t.hitsL1.Inc()
-			t.l2.get(k) // keep L2 recency in sync (inclusive hierarchy)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL1}, true
+			t.l2.get(vl, vpid) // keep L2 recency in sync (inclusive hierarchy)
+			return Result{Frame: frame, Level: lvl, Hit: HitL1}, true
 		}
 	}
 	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
-		k := keyFor(v, lvl, vpid)
-		if e, ok := t.l2.get(k); ok {
+		vl := pack(v, lvl)
+		if frame, ok := t.l2.get(vl, vpid); ok {
 			t.hitsL2.Inc()
-			t.l1.put(k, e.frame)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL2}, true
+			t.l1.put(vl, vpid, frame)
+			return Result{Frame: frame, Level: lvl, Hit: HitL2}, true
 		}
 	}
 	t.misses.Inc()
 	return Result{}, false
 }
 
-func keyFor(v addr.Virt, lvl pagetable.Level, vpid VPID) key {
-	if lvl == pagetable.Level2M {
-		return key{vpn: v.PageNum2M(), lvl: lvl, vpid: vpid}
-	}
-	return key{vpn: v.PageNum4K(), lvl: lvl, vpid: vpid}
-}
-
 // Insert caches a translation in both levels (inclusive hierarchy).
 func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
-	k := keyFor(v, lvl, vpid)
-	t.l1.put(k, frame)
-	t.l2.put(k, frame)
+	vl := pack(v, lvl)
+	t.l1.put(vl, vpid, frame)
+	t.l2.put(vl, vpid, frame)
 }
 
 // Invalidate drops any cached translation of v (both grains) under vpid —
 // the invlpg analogue, required after poisoning or remapping a page.
 func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
 	for _, lvl := range [2]pagetable.Level{pagetable.Level4K, pagetable.Level2M} {
-		k := keyFor(v, lvl, vpid)
-		t.l1.remove(k)
-		t.l2.remove(k)
+		vl := pack(v, lvl)
+		t.l1.remove(vl, vpid)
+		t.l2.remove(vl, vpid)
 	}
 }
 
 // InvalidateVPID drops all translations tagged with vpid.
 func (t *TLB) InvalidateVPID(vpid VPID) {
-	pred := func(k key) bool { return k.vpid == vpid }
+	pred := func(_ uint64, kv VPID) bool { return kv == vpid }
 	t.l1.removeIf(pred)
 	t.l2.removeIf(pred)
 }
@@ -264,16 +335,11 @@ func (t *TLB) InvalidateVPID(vpid VPID) {
 // Invalidate it also catches transient 4KB translations BadgerTrap installed
 // inside poisoned huge pages, whose bases the caller cannot enumerate.
 func (t *TLB) InvalidateRange(r addr.Range, vpid VPID) {
-	pred := func(k key) bool {
-		if k.vpid != vpid {
+	pred := func(vl uint64, kv VPID) bool {
+		if kv != vpid {
 			return false
 		}
-		var v addr.Virt
-		if k.lvl == pagetable.Level2M {
-			v = addr.Virt(k.vpn << addr.PageShift2M)
-		} else {
-			v = addr.Virt(k.vpn << addr.PageShift4K)
-		}
+		v, _ := unpack(vl)
 		return r.Contains(v)
 	}
 	t.l1.removeIf(pred)
@@ -318,4 +384,4 @@ func (t *TLB) ResetStats() {
 }
 
 // Size returns the number of live entries at each level.
-func (t *TLB) Size() (l1, l2 int) { return len(t.l1.items), len(t.l2.items) }
+func (t *TLB) Size() (l1, l2 int) { return t.l1.n, t.l2.n }

@@ -196,6 +196,12 @@ func TestTLBConsistencyProperty(t *testing.T) {
 			if l1 > 8 || l2 > 32 {
 				return false
 			}
+			for _, l := range [2]*lru{tl.l1, tl.l2} {
+				if err := l.check(); err != nil {
+					t.Errorf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+			}
 		}
 		return true
 	}
@@ -204,19 +210,71 @@ func TestTLBConsistencyProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkLookupHit(b *testing.B) {
-	tl := New(DefaultConfig())
-	tl.Insert(addr.Virt2M(1), pagetable.Level2M, addr.Phys2M(1), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(addr.Virt2M(1)+4096, 1)
+// TestLookupInsertNoAlloc pins the fixed arrays: once New has run, hits,
+// misses, fills, evictions and every kind of invalidation allocate nothing.
+func TestLookupInsertNoAlloc(t *testing.T) {
+	tl := New(Config{L1Entries: 8, L2Entries: 32})
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 64; j++ {
+			i++
+			v := addr.Virt4K(i % 48) // 48 pages churn a 32-entry L2
+			if _, ok := tl.Lookup(v, 1); !ok {
+				tl.Insert(v, pagetable.Level4K, addr.Phys4K(i), 1)
+			}
+			tl.Lookup(addr.Virt4K(i%48+1000), 1) // miss
+			if i%7 == 0 {
+				tl.Invalidate(v, 1)
+			}
+		}
+		tl.InvalidateRange(addr.NewRange(addr.Virt4K(i%48), 8*addr.PageSize4K), 1)
+		tl.Insert(addr.Virt2M(3), pagetable.Level2M, addr.Phys2M(3), 2)
+		tl.InvalidateVPID(2)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per run, want 0", allocs)
 	}
 }
 
-func BenchmarkInsertEvict(b *testing.B) {
+var sinkResult Result
+
+func BenchmarkLookupHitL1(b *testing.B) {
 	tl := New(DefaultConfig())
+	tl.Insert(addr.Virt2M(1), pagetable.Level2M, addr.Phys2M(1), 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl.Insert(addr.Virt4K(uint64(i)), pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
+		sinkResult, _ = tl.Lookup(addr.Virt2M(1)+4096, 1)
+	}
+}
+
+// BenchmarkLookupMissInsertEvict is the TLB-miss path of Machine.Access on a
+// full TLB: a lookup that misses both levels, then a fill that evicts.
+func BenchmarkLookupMissInsertEvict(b *testing.B) {
+	tl := New(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := addr.Virt4K(uint64(i))
+		sinkResult, _ = tl.Lookup(v, 1)
+		tl.Insert(v, pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
+	}
+}
+
+// BenchmarkInvalidateRange shoots down a 2MB range from a full TLB, then
+// refills what it dropped.
+func BenchmarkInvalidateRange(b *testing.B) {
+	tl := New(DefaultConfig())
+	for i := uint64(0); i < 1024; i++ {
+		tl.Insert(addr.Virt4K(i), pagetable.Level4K, addr.Phys4K(i), 1)
+	}
+	r := addr.NewRange(addr.Virt2M(1), addr.PageSize2M)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tl.InvalidateRange(r, 1)
+		for p := uint64(512); p < 1024; p += 64 {
+			tl.Insert(addr.Virt4K(p), pagetable.Level4K, addr.Phys4K(p), 1)
+		}
 	}
 }

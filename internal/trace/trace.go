@@ -20,8 +20,8 @@ import (
 	"thermostat/internal/sim"
 )
 
-// Magic identifies a trace stream.
-var magic = [4]byte{'T', 'H', 'R', 'M'}
+// magic identifies a trace stream.
+const magic = "THRM"
 
 const version = 1
 
@@ -51,7 +51,7 @@ type Writer struct {
 // record encoder.
 func NewWriter(w io.Writer, regions []RegionInfo, computeNs int64) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.WriteString(magic); err != nil {
 		return nil, err
 	}
 	var buf [binary.MaxVarintLen64]byte
@@ -129,11 +129,11 @@ type Reader struct {
 // NewReader parses the header and returns a record decoder.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	var m [4]byte
+	var m [len(magic)]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: short magic: %w", err)
 	}
-	if m != magic {
+	if string(m[:]) != magic {
 		return nil, errors.New("trace: bad magic")
 	}
 	v, err := binary.ReadUvarint(br)

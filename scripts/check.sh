@@ -31,6 +31,11 @@ else
 	go test -race -timeout 45m ./...
 fi
 
+echo "== fuzz smoke"
+# The array-backed TLB against its map-backed oracle: same results,
+# counters, sizes and recency order after every random call.
+go test -run '^$' -fuzz FuzzTLBMatchesOracle -fuzztime 10s ./internal/tlb
+
 echo "== trace determinism gate"
 # Telemetry is recorded in virtual time, so the same seeded run must export
 # byte-identical traces and metrics no matter how many workers fan the
