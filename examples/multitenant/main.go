@@ -37,8 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dbEngine := thermostat.NewEngineInGroup(dbGroup, 1)
-	dbEngine.SetScope(dbApp.Regions)
+	db := thermostat.NewTenant(dbApp.Name(), dbApp, dbGroup, thermostat.NewEngineInGroup(dbGroup, 1))
 
 	// Tenant 2: a batch analytics job that tolerates 10%.
 	batchApp, err := thermostat.NewWorkload(thermostat.InMemAnalytics(), scale, 22)
@@ -52,33 +51,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batchEngine := thermostat.NewEngineInGroup(batchGroup, 2)
-	batchEngine.SetScope(batchApp.Regions)
+	batch := thermostat.NewTenant(batchApp.Name(), batchApp, batchGroup, thermostat.NewEngineInGroup(batchGroup, 2))
 
-	res, err := thermostat.RunMulti(m, []thermostat.Tenant{
-		{App: dbApp, Policy: dbEngine},
-		{App: batchApp, Policy: batchEngine},
-	}, thermostat.RunConfig{DurationNs: 30e9, WindowNs: 1e9})
+	// The fleet arbitrates the fast tier between the two cgroups; each
+	// tenant's working set fits its grant, so neither is squeezed.
+	res, err := thermostat.RunFleet(m, thermostat.FleetConfig{DurationNs: 30e9, WindowNs: 1e9},
+		[]thermostat.FleetMember{{Tenant: db}, {Tenant: batch}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("tenant      sla    throughput   cold    demoted  corrected")
+	var slowBytes uint64
 	for i, t := range res.Tenants {
-		eng := dbEngine
-		sla := "1%"
-		if i == 1 {
-			eng = batchEngine
-			sla = "10%"
-		}
-		st := eng.Stats()
+		sla := []string{"1%", "10%"}[i]
+		cold := t.FootprintBytes - t.FastBytes
+		slowBytes += cold
 		fmt.Printf("%-10s  %-4s  %9.0f/s  %5.1f%%  %7d  %9d\n",
-			t.AppName, sla, t.Throughput,
-			t.Footprint.ColdFraction()*100, st.Demotions, st.Promotions)
+			t.Name, sla, t.Throughput,
+			float64(cold)/float64(t.FootprintBytes)*100, t.Stats.Demotions, t.Stats.Promotions)
 	}
 	fmt.Println()
-	fmt.Printf("shared slow tier now holds %d MB across both tenants\n",
-		(res.Tenants[0].Footprint.Cold()+res.Tenants[1].Footprint.Cold())>>20)
+	fmt.Printf("shared slow tier now holds %d MB across both tenants\n", slowBytes>>20)
 	fmt.Println()
 	fmt.Println("Each engine samples, classifies, and corrects only inside its own cgroup's")
 	fmt.Println("address ranges; fault counts on the shared trap are consumed as per-engine")

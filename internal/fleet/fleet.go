@@ -201,7 +201,7 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	if r.totalShare == 0 && !r.anyPendingArrival() {
 		return nil, fmt.Errorf("fleet: no tenant ever present")
 	}
-	if err := r.assignGrants(r.start); err != nil {
+	if _, _, err := r.grantRound(r.start); err != nil {
 		return nil, err
 	}
 
@@ -586,15 +586,10 @@ func (r *runner) syncUsage(st *tenantState) {
 	}
 }
 
-// assignGrants runs one grant computation over the resident tenants and
+// grantRound runs one grant computation over the resident tenants and
 // applies the results — the arbitration core, shared by the initial silent
 // assignment and the periodic rounds. Returns the demands and member
 // indexes it acted on.
-func (r *runner) assignGrants(now int64) error {
-	_, _, err := r.grantRound(now)
-	return err
-}
-
 func (r *runner) grantRound(now int64) ([]Demand, []int, error) {
 	ds := make([]Demand, 0, len(r.states))
 	idx := make([]int, 0, len(r.states))

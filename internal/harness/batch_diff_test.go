@@ -8,24 +8,31 @@ import (
 	"thermostat/internal/workload"
 )
 
-// runThermostatBatch assembles a Thermostat run and drives it with the
-// DisableBatch switch exposed, so the test can compare the batched engine
-// against the per-op reference on a full Thermostat experiment.
-func runThermostatBatch(t *testing.T, spec workload.Spec, sc Scale, disable bool) *sim.RunResult {
+// runThermostatBatch assembles a Thermostat run and drives it either
+// batched or, with perOp, through serialOnly, so the test can compare the
+// batched engine against the per-op reference on a full Thermostat
+// experiment.
+func runThermostatBatch(t *testing.T, spec workload.Spec, sc Scale, perOp bool) *sim.RunResult {
 	t.Helper()
 	a, err := RunSpec{Spec: spec, Scale: sc, PolicyName: "thermostat", SlowdownPct: 3}.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(a.Machine, a.App, a.Engine, sim.RunConfig{
+	var app sim.App = a.App
+	if perOp {
+		app = serialOnly{app}
+	}
+	res, err := sim.Run(a.Machine, app, a.Engine, sim.RunConfig{
 		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-		DisableBatch: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
+
+// serialOnly hides an app's NextBatch, so sim.Run takes the per-op path.
+type serialOnly struct{ sim.App }
 
 // TestThermostatBatchSerialEquivalence proves the batched hot path is
 // bit-identical end to end: a seeded redis run under the full Thermostat

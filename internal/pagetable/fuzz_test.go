@@ -13,6 +13,32 @@ type visit struct {
 	lvl  Level
 }
 
+// scanRadix is the original depth-first radix walk: the reference visit
+// order the flat index must reproduce (see FuzzLeafIndex) and the radix
+// side of BenchmarkPTScan.
+func (t *Table) scanRadix(fn LeafVisitor) {
+	t.scanNode(t.root, 4, 0, fn)
+}
+
+func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
+	for i := 0; i < 512; i++ {
+		va := prefix | uint64(i)<<uint(addr.PageShift4K+9*(level-1))
+		if level == 2 && n.entries[i].Flags.Has(Present|Huge) {
+			fn(addr.Virt(va), &n.entries[i], Level2M)
+			continue
+		}
+		if level == 1 {
+			if n.entries[i].Flags.Has(Present) {
+				fn(addr.Virt(va), &n.entries[i], Level4K)
+			}
+			continue
+		}
+		if n.children[i] != nil {
+			t.scanNode(n.children[i], level-1, va, fn)
+		}
+	}
+}
+
 // checkLeafIndex asserts the flat leaf index reproduces the reference radix
 // walk exactly: same leaves, same order, same entry pointers.
 func checkLeafIndex(t *testing.T, pt *Table) {

@@ -94,7 +94,7 @@ type leafRef struct {
 // Collapse) and lets Scan/ScanRange run as linear sweeps instead of radix
 // descents. Invariant: leaves holds exactly one entry per present leaf, in
 // strictly increasing base order — the same order a depth-first radix walk
-// produces (scanRadix is kept as the reference walk and the fuzz oracle).
+// produces (the fuzz oracle checks it against such a walk).
 type Table struct {
 	root    *node
 	count4K int
@@ -609,32 +609,6 @@ func (t *Table) Scan(fn LeafVisitor) {
 	ls := t.leaves
 	for i := range ls {
 		fn(ls[i].base, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
-	}
-}
-
-// scanRadix is the original depth-first radix walk. It is retained as the
-// reference visit order the flat index must reproduce (see FuzzLeafIndex)
-// and as the radix side of BenchmarkPTScan.
-func (t *Table) scanRadix(fn LeafVisitor) {
-	t.scanNode(t.root, 4, 0, fn)
-}
-
-func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
-	for i := 0; i < 512; i++ {
-		va := prefix | uint64(i)<<uint(addr.PageShift4K+9*(level-1))
-		if level == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			fn(addr.Virt(va), &n.entries[i], Level2M)
-			continue
-		}
-		if level == 1 {
-			if n.entries[i].Flags.Has(Present) {
-				fn(addr.Virt(va), &n.entries[i], Level4K)
-			}
-			continue
-		}
-		if n.children[i] != nil {
-			t.scanNode(n.children[i], level-1, va, fn)
-		}
 	}
 }
 

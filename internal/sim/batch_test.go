@@ -61,11 +61,11 @@ func (p *churnPolicy) Tick(m *Machine, now int64) error {
 	return nil
 }
 
-// runPair executes the same seeded workload twice — once batched, once with
-// DisableBatch — and returns both results and machines.
+// runPair executes the same seeded workload twice — once batched, once
+// through serialOnly — and returns both results and machines.
 func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial *RunResult, mb, ms *Machine) {
 	t.Helper()
-	run := func(disable bool) (*RunResult, *Machine) {
+	run := func(perOp bool) (*RunResult, *Machine) {
 		cfg := DefaultConfig(64<<20, 64<<20)
 		cfg.Mode = mode
 		m, err := New(cfg)
@@ -80,9 +80,11 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial *Run
 		pol := &churnPolicy{interval: 1e8}
 		// The app allocates in Init; give the policy the region afterwards
 		// via a wrapper policy Attach is too early for, so hook Tick lazily.
-		rc := rc
-		rc.DisableBatch = disable
-		res, err := Run(m, &regionWire{app: app, pol: pol}, pol, rc)
+		var a App = &regionWire{app: app, pol: pol}
+		if perOp {
+			a = serialOnly{a}
+		}
+		res, err := Run(m, a, pol, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,6 +94,10 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial *Run
 	serial, ms = run(true)
 	return batched, serial, mb, ms
 }
+
+// serialOnly hides an app's NextBatch, so Run takes the per-op path: the
+// reference the batched engine must match.
+type serialOnly struct{ App }
 
 // regionWire forwards App calls and points the policy at the app's region
 // once Init has allocated it.

@@ -206,11 +206,6 @@ type RunConfig struct {
 	// request latencies, enabling tail-latency comparisons (the paper
 	// reports 95th/99th percentile read/write latencies). 0 disables.
 	OpsPerRequest int
-	// DisableBatch forces the per-op access path even when the app
-	// implements BatchApp. Batched and serial execution are bit-identical
-	// by construction; this switch exists so the differential tests can
-	// prove it.
-	DisableBatch bool
 	// TickHook, when non-nil, runs after every policy tick (and after the
 	// telemetry epoch rolls), on the simulation goroutine at virtual time
 	// now. It is the daemon's deterministic control point: config-reload
@@ -308,10 +303,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 
 	// Telemetry epochs follow the policy tick: one epoch per scan interval,
 	// recorded in virtual time so traces are deterministic.
-	var et *epochTracker
-	if m.Recorder() != nil {
-		et = newEpochTracker(m, pol)
-	}
+	et := NewEpochTracker(m, pol)
 
 	start := m.Clock()
 	end := start + rc.DurationNs
@@ -331,7 +323,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	const maxBatch = 2048
 	computeNs := app.ComputeNs()
 	batcher, canBatch := app.(BatchApp)
-	canBatch = canBatch && !rc.DisableBatch && m.BatchSafe()
+	canBatch = canBatch && m.BatchSafe()
 	var reqs []Req
 	var lats, clks []int64
 	var maxAdv int64
@@ -451,9 +443,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			if err := pol.Tick(m, now); err != nil {
 				return nil, fmt.Errorf("sim: %s tick: %w", pol.Name(), err)
 			}
-			if et != nil {
-				et.roll(now)
-			}
+			et.Roll(now)
 			if rc.TickHook != nil {
 				if err := rc.TickHook(now); err != nil {
 					if errors.Is(err, ErrStopRun) {
@@ -474,9 +464,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			break
 		}
 	}
-	if et != nil {
-		et.end(m.Clock())
-	}
+	et.End(m.Clock())
 
 	res.DurationNs = m.Clock() - start
 	span := res.DurationNs - rc.WarmupNs

@@ -581,3 +581,40 @@ func statsSeries(name string, vals ...float64) *stats.Series {
 	}
 	return s
 }
+
+func TestStackBasics(t *testing.T) {
+	t.Parallel()
+	m := newMachine(t)
+	if err := (&Stack{}).Attach(m); err == nil {
+		t.Fatal("empty stack accepted")
+	}
+	a := &errPolicy{failAt: 1 << 30}
+	st := &Stack{Policies: []Policy{NullPolicy{Interval: 3e8}, a}}
+	if st.Name() != "all-dram+all-dram" {
+		t.Fatalf("name = %q", st.Name())
+	}
+	// Interval is the minimum of members (errPolicy ticks at 1e8).
+	if st.IntervalNs() != 1e8 {
+		t.Fatalf("interval = %d", st.IntervalNs())
+	}
+	if err := st.Attach(m); err != nil {
+		t.Fatal(err)
+	}
+	// Three stack ticks at 1e8 spacing: the 3e8-interval member fires once,
+	// the 1e8 member three times.
+	for i := int64(1); i <= 3; i++ {
+		if err := st.Tick(m, i*1e8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.ticks != 3 {
+		t.Fatalf("fast member ticked %d times, want 3", a.ticks)
+	}
+	// Footprint delegates to the first member.
+	if _, err := m.AllocRegion(2<<20, true); err != nil {
+		t.Fatal(err)
+	}
+	if st.Footprint(m).Hot2M != 2<<20 {
+		t.Fatal("footprint not delegated")
+	}
+}

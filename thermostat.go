@@ -39,6 +39,7 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/fleet"
 	"thermostat/internal/hugepaged"
 	"thermostat/internal/mem"
 	"thermostat/internal/sim"
@@ -272,20 +273,41 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	return sim.Run(m, app, pol, rc)
 }
 
-// Tenant pairs an application with its own policy for multi-tenant runs.
-type Tenant = sim.Tenant
+// ScopedApp is a workload that reports the address ranges it owns, so a
+// tenant's engine can be scoped to them (Workload implements it).
+type ScopedApp = core.ScopedApp
 
-// TenantResult is one tenant's outcome from RunMulti.
-type TenantResult = sim.TenantResult
+// Tenant is one application of a multi-tenant host: a workload, the cgroup
+// holding its knobs and DRAM accounting, and an engine scoped to the
+// workload's pages, plus its share, priority and SLO for the fleet arbiter.
+type Tenant = core.Tenant
 
-// MultiResult is the outcome of RunMulti.
-type MultiResult = sim.MultiResult
+// NewTenant wires a tenant together, scoping the engine to the app's
+// regions (share and priority default to 1).
+func NewTenant(name string, app ScopedApp, group *Group, eng *Engine) *Tenant {
+	return core.NewTenant(name, app, group, eng)
+}
 
-// RunMulti drives several tenants on one shared machine (shared TLB, LLC
-// and memory tiers), each with its own policy — scope per-tenant engines
-// with Engine.SetScope so they manage only their own cgroup's pages.
-func RunMulti(m *Machine, tenants []Tenant, rc RunConfig) (*MultiResult, error) {
-	return sim.RunMulti(m, tenants, rc)
+// FleetMember is one tenant's entry in a fleet run, with its optional
+// arrival and departure times.
+type FleetMember = fleet.Member
+
+// FleetConfig controls a fleet run; the zero PoolBytes arbitrates the whole
+// fast tier.
+type FleetConfig = fleet.Config
+
+// FleetResult is a fleet run's outcome: machine-wide series plus one
+// TenantResult per member.
+type FleetResult = fleet.Result
+
+// TenantResult is one tenant's outcome from RunFleet.
+type TenantResult = fleet.TenantResult
+
+// RunFleet drives several tenants on one shared machine (shared TLB, LLC
+// and memory tiers), each managed by its own scoped engine, with the fast
+// tier arbitrated among them.
+func RunFleet(m *Machine, cfg FleetConfig, members []FleetMember) (*FleetResult, error) {
+	return fleet.Run(m, cfg, members)
 }
 
 // Slowdown compares a policy run to its all-DRAM baseline: 0.03 means 3%.
